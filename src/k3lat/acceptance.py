@@ -291,7 +291,7 @@ def _criterion_9():
                 assert elliptic.in_radical(spec, v) == multiple
 
     # glue group trivial <=> no divisibility witness, on random configurations
-    from .lattice_core import lattice_row_basis, right_kernel_mod_p, solve_left, transpose
+    from .lattice_core import right_kernel_mod_p, transpose
 
     def random_code(p, c):
         basis = []
@@ -319,40 +319,7 @@ def _criterion_9():
         p = rng.choice([2, 2, 3, 5])
         c = rng.randint(1, 8 // (p - 1))
         code = random_code(p, c) if rng.random() < 0.7 else []
-        m = c * (p - 1)
-        block = lattice_core.catalog_lattice(f"A{p - 1}")
-        big = [[0] * m for _ in range(m)]
-        for i in range(c):
-            off = i * (p - 1)
-            for a in range(p - 1):
-                for b in range(p - 1):
-                    big[off + a][off + b] = block.gram[a][b]
-        gens = [[p if j == idx else 0 for j in range(m)] for idx in range(m)]
-        for w in code:
-            vec = [0] * m
-            for i in range(c):
-                for k in range(1, p):
-                    vec[i * (p - 1) + k - 1] = (w[i] * k) % p
-            gens.append(vec)
-        basis = lattice_row_basis(gens)
-        gram = [
-            [
-                sum(basis[i][a] * big[a][b] * basis[j][b] for a in range(m) for b in range(m))
-                // (p * p)
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        amb = lattice_core.GramLattice(tuple(map(tuple, gram)))
-        chains = []
-        for i in range(c):
-            chain = []
-            for k in range(1, p):
-                target = [p if j == i * (p - 1) + k - 1 else 0 for j in range(m)]
-                x = solve_left(basis, target)
-                chain.append(tuple(int(f) for f in x))
-            chains.append(tuple(chain))
-        cfg = root_config.ChainConfiguration(amb, p, tuple(chains))
+        _, cfg = finite_geometry.glue_overlattice(p, c, code)
         glue = root_config.chain_span_glue(cfg)
         witnesses = root_config.find_p_divisible_subsets(cfg)
         assert glue.is_trivial == (not witnesses)

@@ -298,12 +298,11 @@ def _enriques_condition_text(row: dict) -> str:
 def _derive_enriques_group(row: dict, p: int, c: int) -> None:
     """Re-derive the stored group from the double cover plus extension facts."""
     kernel_name = row["kernel"]
+    k3row = k3_classify(K3Input(p, 2 * c, row["k3_facts"]))
     if kernel_name == "infinite":
-        k3row = k3_classify(K3Input(p, 2 * c, row["k3_facts"]))
         if k3row.pi1.is_finite:
             raise FactsError("internal: expected an infinite cover group")
         return
-    k3row = k3_classify(K3Input(p, 2 * c, row["k3_facts"]))
     if not k3row.pi1.is_finite or k3row.pi1.name != kernel_name:
         raise FactsError(
             f"internal: cover classification gave {k3row.pi1.display()}, "

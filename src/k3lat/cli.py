@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import acceptance, classifier, elliptic, finite_geometry, lattice_core, root_config
@@ -76,19 +77,26 @@ def _group_arg(name: str):
         raise CliError(str(exc)) from exc
 
 
-def _config_from_json(obj, max_candidates):
+@contextmanager
+def _fields(what: str):
+    """Report a missing or malformed field of a JSON input as invalid input."""
     try:
-        ambient = lattice_core.parse_lattice(obj["ambient"])
+        yield
+    except KeyError as exc:
+        raise CliError(f"bad {what}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"bad {what}: {exc}") from exc
+
+
+def _config_from_json(obj):
+    with _fields("configuration"):
         torsion = obj.get("kw_mod2")
-        cfg = root_config.ChainConfiguration(
-            ambient=ambient,
+        return root_config.ChainConfiguration(
+            ambient=lattice_core.parse_lattice(obj["ambient"]),
             p=int(obj["p"]),
             chains=tuple(tuple(tuple(int(x) for x in v) for v in ch) for ch in obj["chains"]),
             torsion_class=tuple(torsion) if torsion is not None else None,
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad configuration: {exc}") from exc
-    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +128,8 @@ def _cmd_lattice(args):
 
 
 def _cmd_config(args):
-    cfg = _config_from_json(_load_json_arg(args.config), args.max_candidates)
-    witnesses = root_config.find_p_divisible_subsets(
-        cfg, max_candidates=args.max_candidates, threads=args.threads
-    )
+    cfg = _config_from_json(_load_json_arg(args.config))
+    witnesses = root_config.find_p_divisible_subsets(cfg, max_candidates=args.max_candidates)
     if args.op == "divisible":
         payload = [
             {
@@ -152,7 +158,7 @@ def _cmd_geometry(args):
         return 0, payload, [f"{len(hyps)} affine hyperplanes of size {space.p ** (space.n - 1)}"]
     if args.op == "kummer":
         lattice, cfg = finite_geometry.kummer_lattice()
-        witnesses = root_config.find_p_divisible_subsets(cfg, threads=args.threads)
+        witnesses = root_config.find_p_divisible_subsets(cfg)
         payload = {
             "rank": lattice.rank,
             "determinant": lattice.det(),
@@ -184,7 +190,9 @@ def _cmd_geometry(args):
 
 
 def _cmd_fibration(args):
-    spec = elliptic.parse_fibration(_load_json_arg(args.spec))
+    obj = _load_json_arg(args.spec)
+    with _fields("fibration"):
+        spec = elliptic.parse_fibration(obj)
     if args.op == "validate":
         report = elliptic.validate_fibration(spec)
         payload = {
@@ -200,9 +208,11 @@ def _cmd_fibration(args):
         return 0, {"section": args.section, "height": _jsonable(h)}, [f"h({args.section}) = {h}"]
     if args.op == "relation":
         rel = _load_json_arg(_require(args, "relation"))
-        lhs = elliptic.parse_divisor(rel["lhs"])
-        rhs = elliptic.parse_divisor(rel["rhs"])
-        ok = elliptic.verify_divisibility_relation(spec, lhs, int(rel["p"]), rhs)
+        with _fields("relation"):
+            lhs = elliptic.parse_divisor(rel["lhs"])
+            rhs = elliptic.parse_divisor(rel["rhs"])
+            p = int(rel["p"])
+        ok = elliptic.verify_divisibility_relation(spec, lhs, p, rhs)
         return (0 if ok else 1), {"verified": ok, "p": rel["p"]}, [
             f"relation {'holds' if ok else 'fails'} (p = {rel['p']})"
         ]
@@ -336,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "singular K3 and Enriques surface complements.",
     )
     top.add_argument("--json", action="store_true", help="emit the JSON payload")
-    top.add_argument("--threads", type=int, default=1, help="worker threads for searches")
     top.add_argument(
         "--max-candidates", type=int, default=10**9, help="bound on divisibility search size"
     )

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Sequence
 
-from .lattice_core import GramLattice, lattice_row_basis, solve_left
+from .lattice_core import GramLattice, lattice_row_basis, mat_mul, solve_left, transpose
 from .root_config import ChainConfiguration
 
 
@@ -111,17 +112,18 @@ def line_complements(space: AffineSpaceModel) -> list[PointSubset]:
 # glue-code overlattices
 
 
-def chain_overlattice(p: int, n: int) -> tuple[GramLattice, ChainConfiguration]:
-    """Overlattice of p^n orthogonal A_{p-1} chains glued along the affine code.
+def glue_overlattice(
+    p: int, c: int, code: Sequence[Sequence[int]]
+) -> tuple[GramLattice, ChainConfiguration]:
+    """Overlattice of c orthogonal A_{p-1} chains glued along a code over F_p.
 
     Generators are the chain classes together with, for every codeword w,
     the class (1/p) * sum_i w_i * (sum_k k * chain_i(k)).  Coordinates are
     taken in scale 1/p so everything stays integral; the returned Gram
     matrix is expressed in a basis of the overlattice and the configuration
-    presents the original chain classes in that basis.
+    presents the original chain classes in that basis.  A code whose glue
+    is not integral or not even raises ValueError.
     """
-    space = AffineSpaceModel(p, n)
-    c = space.size
     m = c * (p - 1)
 
     def slot(i: int, k: int) -> int:  # chain i, class index k = 1..p-1
@@ -138,30 +140,15 @@ def chain_overlattice(p: int, n: int) -> tuple[GramLattice, ChainConfiguration]:
 
     # generators in coordinates scaled by p (chain classes become p * e)
     gens = [[p if j == idx else 0 for j in range(m)] for idx in range(m)]
-    for w in affine_function_code(space):
-        if all(x == 0 for x in w):
-            continue
-        vec = [0] * m
-        for i in range(c):
-            if w[i]:
-                for k in range(1, p):
-                    vec[slot(i, k)] = (w[i] * k) % p
-        gens.append(vec)
+    for w in code:
+        if any(w):
+            gens.append([(w[i] * k) % p for i in range(c) for k in range(1, p)])
 
     basis = lattice_row_basis(gens)
-    if len(basis) != m:
-        raise ValueError("glue code does not give a full-rank overlattice")
-
-    gram = [[0] * m for _ in range(m)]
-    for i in range(m):
-        bi = basis[i]
-        for j in range(i, m):
-            bj = basis[j]
-            num = sum(bi[a] * block[a][b] * bj[b] for a in range(m) for b in range(m))
-            if num % (p * p) != 0:
-                raise ValueError("overlattice is not integral; the glue code is invalid")
-            gram[i][j] = gram[j][i] = num // (p * p)
-    lattice = GramLattice(tuple(map(tuple, gram)), name=f"glue({p},{n})")
+    gram = mat_mul(mat_mul(basis, block), transpose(basis))
+    if any(x % (p * p) for row in gram for x in row):
+        raise ValueError("overlattice is not integral; the glue code is invalid")
+    lattice = GramLattice(tuple(tuple(x // (p * p) for x in row) for row in gram))
     if not lattice.is_even():
         raise ValueError("overlattice is not even; the glue code is invalid")
 
@@ -176,6 +163,12 @@ def chain_overlattice(p: int, n: int) -> tuple[GramLattice, ChainConfiguration]:
         chains.append(tuple(chain))
     cfg = ChainConfiguration(ambient=lattice, p=p, chains=tuple(chains))
     return lattice, cfg
+
+
+def chain_overlattice(p: int, n: int) -> tuple[GramLattice, ChainConfiguration]:
+    """Overlattice of p^n orthogonal A_{p-1} chains glued along the affine code."""
+    space = AffineSpaceModel(p, n)
+    return glue_overlattice(p, space.size, affine_function_code(space))
 
 
 def kummer_lattice() -> tuple[GramLattice, ChainConfiguration]:

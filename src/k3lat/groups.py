@@ -143,7 +143,7 @@ class FiniteGroupTable:
     """A finite group: element 0 is the identity, table[i][j] = i * j."""
 
     table: tuple[tuple[int, ...], ...]
-    generator_images: dict = field(default_factory=dict)
+    generator_images: dict = field(default_factory=dict, hash=False)
     name: Optional[str] = None
 
     def __post_init__(self):

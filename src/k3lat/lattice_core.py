@@ -1,10 +1,12 @@
 """Exact integral lattice arithmetic.
 
 Everything here runs on plain Python integers (arbitrary precision, so
-intermediate blow-up in a Smith reduction can never wrap around) or on
-`fractions.Fraction` where a division is genuinely needed.  Matrices are
-lists of lists of ints; the public domain types freeze their data into
-tuples and are safe to share between threads.
+intermediate blow-up in a Smith reduction can never wrap around).  All
+exact linear algebra over Z goes through one Smith reduction that also
+tracks the inverse of its column transform; `fractions.Fraction` appears
+only in the result of `solve_left`, whose solutions may be rational.
+Matrices are lists of lists of ints; the public domain types freeze their
+data into tuples and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -73,69 +75,6 @@ def bareiss_det(M: Sequence[Sequence[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def solve_right(A: Sequence[Sequence[int]], b: Sequence) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly over the rationals; None if inconsistent."""
-    m, n = len(A), len(A[0])
-    rows = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][n]
-    return x
-
-
-def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list[Fraction]]:
-    """Solve x B = target exactly; None if target is not in the row space."""
-    return solve_right(transpose(B), target)
-
-
-def invert_unimodular(U: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a matrix with determinant +-1 (integral by construction)."""
-    n = len(U)
-    aug = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return out
-
-
 def right_kernel_mod_p(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Basis of {x : A x = 0 over F_p}."""
     m, n = len(A), (len(A[0]) if A else 0)
@@ -179,15 +118,13 @@ def _balanced_quotient(a: int, b: int) -> int:
     return q
 
 
-def smith_normal_form(
+def _smith(
     M: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (D, P, Q) with D = P M Q, P and Q unimodular.
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (D, P, Q, Q^-1) with D = P M Q; see `smith_normal_form`.
 
-    D is diagonal with nonnegative entries d1 | d2 | ... and zeros last.
-    Reduction is by elementary row/column operations; every sweep re-pivots
-    on the entry of smallest absolute value, which keeps intermediate
-    entries from exploding.
+    Every column operation on Q is mirrored by its inverse row operation on
+    Q^-1, so the inverse comes out exact without a second elimination.
     """
     A = copy_matrix(M)
     m = len(A)
@@ -198,16 +135,18 @@ def smith_normal_form(
         raise ValueError("ragged matrix")
     P = identity_matrix(m)
     Q = identity_matrix(n)
+    Qi = identity_matrix(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         P[i] = [a - q * b for a, b in zip(P[i], P[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; on Q^-1, row_j += q * row_i
         for row in A:
             row[i] -= q * row[j]
         for row in Q:
             row[i] -= q * row[j]
+        Qi[j] = [a + q * b for a, b in zip(Qi[j], Qi[i])]
 
     def swap_rows(i, j):
         if i != j:
@@ -220,13 +159,21 @@ def smith_normal_form(
                 row[i], row[j] = row[j], row[i]
             for row in Q:
                 row[i], row[j] = row[j], row[i]
+            Qi[i], Qi[j] = Qi[j], Qi[i]
 
     def move_min_pivot(t) -> bool:
-        best = None
+        # smallest |entry|, ties to the first in row-major order; a unit ends the scan
+        best, small = None, 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                a = abs(row[j])
+                if a and (best is None or a < small):
+                    best, small = (i, j), a
+                    if a == 1:
+                        break
+            if small == 1:
+                break
         if best is None:
             return False
         swap_rows(t, best[0])
@@ -251,15 +198,11 @@ def smith_normal_form(
             if touched:
                 move_min_pivot(t)
                 continue
-            # pivot must divide the whole trailing block
+            # pivot must divide the whole trailing block (a unit always does)
+            d = A[t][t]
             fix = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            if abs(d) != 1:
+                fix = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1 :])), None)
             if fix is None:
                 break
             row_op(t, fix, -1)  # pull row `fix` into the pivot row
@@ -270,17 +213,64 @@ def smith_normal_form(
             P[t] = [-a for a in P[t]]
         t += 1
 
-    return A, P, Q
+    return A, P, Q, Qi
+
+
+def smith_normal_form(
+    M: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (D, P, Q) with D = P M Q, P and Q unimodular.
+
+    D is diagonal with nonnegative entries d1 | d2 | ... and zeros last.
+    Reduction is by elementary row/column operations; every sweep re-pivots
+    on the entry of smallest absolute value, which keeps intermediate
+    entries from exploding.
+    """
+    D, P, Q, _ = _smith(M)
+    return D, P, Q
+
+
+def _diagonal(D: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors on the diagonal of a Smith form."""
+    return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0]
+
+
+def _smith_span(gens: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(d, U) for the lattice spanned by the rows of gens.
+
+    d holds the nonzero invariant factors d_1 | ... | d_r and U the first r
+    rows of Q^-1.  The rows d_i * U[i] form a basis of the span and the rows
+    of U a basis of its saturation, whose quotient by the span is the sum
+    of the Z/d_i.
+    """
+    if not gens:
+        return [], []
+    D, _P, _Q, Qi = _smith(gens)
+    d = _diagonal(D)
+    return d, Qi[: len(d)]
+
+
+def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list[Fraction]]:
+    """Solve x B = target exactly; None if target is not in the rational row space.
+
+    With D = P B Q the system reads y D = target Q for y = x P^-1, which is
+    solvable iff (target Q)_j = 0 beyond the rank, and then y_i =
+    (target Q)_i / d_i.  Over a common denominator only integers are used.
+    """
+    D, P, Q, _ = _smith(B)
+    d = _diagonal(D)
+    tq = vec_mat(target, Q)
+    if any(tq[len(d):]):
+        return None
+    den = d[-1] if d else 1  # every d_i divides the last one
+    y = [tq[i] * (den // d[i]) for i in range(len(d))] + [0] * (len(B) - len(d))
+    return [Fraction(v, den) for v in vec_mat(y, P)]
 
 
 def lattice_row_basis(gens: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis for the lattice generated by the given (possibly dependent) rows."""
-    if not gens:
-        return []
-    D, _P, Q = smith_normal_form(gens)
-    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    Qinv = invert_unimodular(Q)
-    return [[D[i][i] * x for x in Qinv[i]] for i in range(r)]
+    d, U = _smith_span(gens)
+    return [[di * x for x in row] for di, row in zip(d, U)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +384,8 @@ def discriminant_group(L: GramLattice) -> AbelianInvariants:
     """Invariant factors of L*/L, read off the Smith form of the Gram matrix."""
     if L.det() == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    D, _, _ = smith_normal_form(L.gram_rows())
-    return AbelianInvariants(tuple(D[i][i] for i in range(L.rank) if D[i][i] > 1))
+    d, _ = _smith_span(L.gram_rows())
+    return AbelianInvariants(tuple(x for x in d if x > 1))
 
 
 def primitive_closure(S: EmbeddedSublattice) -> tuple[list[list[int]], AbelianInvariants]:
@@ -406,14 +396,8 @@ def primitive_closure(S: EmbeddedSublattice) -> tuple[list[list[int]], AbelianIn
     """
     if S.ambient.det() == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    if not S.basis:
-        return [], AbelianInvariants()
-    D, _P, Q = smith_normal_form([list(v) for v in S.basis])
-    r = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i] != 0)
-    Qinv = invert_unimodular(Q)
-    closure = [list(Qinv[i]) for i in range(r)]
-    glue = AbelianInvariants(tuple(D[i][i] for i in range(r) if D[i][i] > 1))
-    return closure, glue
+    d, U = _smith_span([list(v) for v in S.basis])
+    return U, AbelianInvariants(tuple(x for x in d if x > 1))
 
 
 def is_p_divisible_class(v: Sequence[int], L: GramLattice, p: int) -> Optional[list[int]]:

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Literal, Optional, Sequence
 
 from .lattice_core import (
     AbelianInvariants,
     GramLattice,
-    bareiss_det,
-    lattice_row_basis,
+    _smith_span,
     right_kernel_mod_p,
-    smith_normal_form,
     transpose,
 )
 
@@ -144,7 +143,6 @@ def weighted_chain_class(chain: Sequence[Sequence[int]], d: int) -> list[int]:
 def find_p_divisible_subsets(
     cfg: ChainConfiguration,
     max_candidates: int = 10**9,
-    threads: int = 1,
 ) -> list[DivisibleSubsetWitness]:
     """All p-divisible weighted chain subsets, one witness per projective class.
 
@@ -153,16 +151,18 @@ def find_p_divisible_subsets(
     The search enumerates the kernel of the mod-p coefficient map, which is
     tiny in every real configuration; ``max_candidates`` guards the kernel
     enumeration and ``SearchSpaceError`` is raised if it would be exceeded.
+    Torsion bits only count for p = 2: order-2 torsion is p-divisible for
+    odd p, so there the search sees the free coordinates alone.
     """
     p = cfg.p
     c = cfg.count
     if c == 0:
         return []
-    n = cfg.vector_length
+    n = cfg.vector_length if p == 2 else cfg.ambient.rank
     if c * (p - 1) > cfg.ambient.rank:
         raise ValueError("configuration rank exceeds the ambient rank")
 
-    rows = [weighted_chain_class(chain, 1) for chain in cfg.chains]
+    rows = [weighted_chain_class(chain, 1)[:n] for chain in cfg.chains]
     kernel = right_kernel_mod_p(transpose(rows), p)
     k = len(kernel)
     if p**k - 1 > max_candidates:
@@ -178,31 +178,18 @@ def find_p_divisible_subsets(
         unit = pow(d[support[0]], -1, p)  # first nonzero coefficient becomes 1
         return tuple((x * unit) % p for x in d)
 
-    def scan(combos) -> set:
-        out = set()
-        for combo in combos:
-            key = normalise(combo)
-            if key is not None:
-                out.add(key)
-        return out
-
-    all_combos = [cmb for cmb in product(range(p), repeat=k) if any(cmb)]
-    if threads > 1 and len(all_combos) > 64:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = (len(all_combos) + threads - 1) // threads
-        parts = [all_combos[i : i + chunk] for i in range(0, len(all_combos), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keys = set().union(*pool.map(scan, parts))
-    else:
-        keys = scan(all_combos)
+    keys = set()
+    for combo in product(range(p), repeat=k):
+        key = normalise(combo)
+        if key is not None:
+            keys.add(key)
 
     witnesses = []
     for d in sorted(keys):
         support = tuple(i for i in range(c) if d[i] != 0)
         total = [0] * n
         for i in support:
-            w = weighted_chain_class(cfg.chains[i], d[i])
+            w = weighted_chain_class(cfg.chains[i], d[i])[:n]
             for j in range(n):
                 total[j] += w[j]
         if any(x % p != 0 for x in total):
@@ -226,12 +213,8 @@ def is_primitive_configuration(cfg: ChainConfiguration, max_candidates: int = 10
 
 def chain_span_glue(cfg: ChainConfiguration) -> AbelianInvariants:
     """Invariant factors of (primitive closure / span) for the full chain span."""
-    rows = [list(v[: cfg.ambient.rank]) for chain in cfg.chains for v in chain]
-    if not rows:
-        return AbelianInvariants()
-    D, _P, _Q = smith_normal_form(rows)
-    r = min(len(D), len(D[0]))
-    return AbelianInvariants(tuple(D[i][i] for i in range(r) if D[i][i] > 1))
+    d, _ = _smith_span([list(v[: cfg.ambient.rank]) for chain in cfg.chains for v in chain])
+    return AbelianInvariants(tuple(x for x in d if x > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +245,7 @@ def odd_p_divisibility_by_finite_index(
     rows = [list(v) for v in N_basis]
     if any(len(r) != ambient.rank for r in rows):
         raise ValueError("sublattice vectors must have the ambient rank")
-    Dg, _P, _Q = smith_normal_form(rows)
-    diag = [Dg[i][i] for i in range(min(len(Dg), len(Dg[0])))]
-    if len([d for d in diag if d != 0]) < ambient.rank:
-        raise ValueError("sublattice does not have finite index in the ambient lattice")
-    index = 1
-    for d in diag:
-        index *= d
-    if index % p == 0:
+    if sublattice_index(rows, ambient) % p == 0:
         return "inconclusive"
     if all(ambient.dot(D, n) % p == 0 for n in N_basis):
         return "divisible"
@@ -278,10 +254,10 @@ def odd_p_divisibility_by_finite_index(
 
 def sublattice_index(N_basis: Sequence[Sequence[int]], ambient: GramLattice) -> int:
     """Index of the full-rank sublattice spanned by N_basis inside Z^rank."""
-    basis = lattice_row_basis([list(v) for v in N_basis])
-    if len(basis) != ambient.rank:
+    d, _ = _smith_span([list(v) for v in N_basis])
+    if len(d) != ambient.rank:
         raise ValueError("sublattice does not have finite index in the ambient lattice")
-    return abs(bareiss_det(basis))
+    return prod(d)
 
 
 def enriques_mod2_divisibility(

@@ -148,7 +148,7 @@ def test_geometry_commands(capsys):
     assert len(json.loads(out)) == 12
     code, out, _ = run_capture(capsys, ["--json", "geometry", "ag23"])
     assert code == 0
-    code, out, _ = run_capture(capsys, ["--threads", "2", "--json", "geometry", "kummer"])
+    code, out, _ = run_capture(capsys, ["--json", "geometry", "kummer"])
     assert code == 0
     assert len(json.loads(out)["divisible_subsets"]) == 31
 
@@ -173,6 +173,33 @@ def test_malformed_json_exit_2(capsys):
     code, _, err = run_capture(capsys, ["lattice", "snf", "--matrix", "[[2,0],"])
     assert code == 2
     assert "line" in err and "column" in err
+
+
+def test_fibration_missing_fields_exit_2(capsys):
+    base = data_dir()
+    spec = json.load(open(base / "mp108.json"))
+    rel = json.load(open(base / "mp108_relation.json"))
+    for field in ("fibres", "zero_section"):
+        broken = json.dumps({k: v for k, v in spec.items() if k != field})
+        for argv in (["validate"], ["height", "--section", "P1"],
+                     ["relation", "--relation", json.dumps(rel)]):
+            code, _, err = run_capture(capsys, ["fibration", argv[0], "--spec", broken, *argv[1:]])
+            assert code == 2, (field, argv)
+            assert f"missing field '{field}'" in err and "Traceback" not in err
+    for field in ("lhs", "rhs", "p"):
+        broken = json.dumps({k: v for k, v in rel.items() if k != field})
+        code, _, err = run_capture(
+            capsys,
+            ["fibration", "relation", "--spec", str(base / "mp108.json"), "--relation", broken],
+        )
+        assert code == 2, field
+        assert f"missing field '{field}'" in err
+    code, _, err = run_capture(
+        capsys,
+        ["fibration", "relation", "--spec", str(base / "mp108.json"),
+         "--relation", json.dumps({**rel, "p": "three"})],
+    )
+    assert code == 2 and "bad relation" in err
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -96,6 +96,14 @@ def test_is_isomorphic_basics():
     assert is_isomorphic(catalog_group("Z/6"), abelian_group_table(AbelianInvariants((6,))))
 
 
+def test_group_tables_are_hashable():
+    d8 = catalog_group("D8")
+    assert d8.generator_images
+    copy = FiniteGroupTable(d8.table, dict(d8.generator_images), d8.name)
+    assert hash(copy) == hash(d8)
+    assert len({d8, copy, catalog_group("(Z/2)^3")}) == 2
+
+
 def test_is_isomorphic_under_shuffled_numbering():
     rng = random.Random(4)
     g = catalog_group("Gamma2c1")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -9,16 +10,19 @@ from k3lat.lattice_core import (
     DegenerateLatticeError,
     EmbeddedSublattice,
     GramLattice,
+    _smith,
     bareiss_det,
     catalog_lattice,
     discriminant_group,
-    invert_unimodular,
+    identity_matrix,
     is_p_divisible_class,
     lattice_row_basis,
     mat_mul,
     parse_lattice,
     primitive_closure,
     smith_normal_form,
+    solve_left,
+    vec_mat,
 )
 
 
@@ -41,10 +45,12 @@ def minor_gcd_diagonal(M):
 
 
 def snf_diag(M):
-    D, P, Q = smith_normal_form(M)
+    D, P, Q, Qinv = _smith(M)
+    assert smith_normal_form(M) == (D, P, Q)
     assert mat_mul(mat_mul(P, M), Q) == D
     assert abs(bareiss_det(P)) == 1
     assert abs(bareiss_det(Q)) == 1
+    assert mat_mul(Q, Qinv) == identity_matrix(len(Q))
     diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
     nz = [d for d in diag if d != 0]
     assert diag == nz + [0] * (len(diag) - len(nz))
@@ -105,18 +111,29 @@ def test_full_rank22_catalog_discriminants():
     assert discriminant_group(big).factors == (5,)
 
 
-def test_invert_unimodular_roundtrip():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 6)
-        U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(12):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                q = rng.randint(-3, 3)
-                U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        V = invert_unimodular(U)
-        assert mat_mul(U, V) == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def test_solve_left_matches_rank_oracle():
+    rng = random.Random(17)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        B = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:  # a dependent row
+            i, j = rng.sample(range(m), 2)
+            B[i] = [rng.randint(-2, 2) * x for x in B[j]]
+        if rng.random() < 0.2:
+            B[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.5:  # a rational combination of the rows
+            x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+            target = vec_mat(x0, B)
+        else:
+            target = [rng.randint(-6, 6) for _ in range(n)]
+        x = solve_left(B, target)
+        rank = len(minor_gcd_diagonal(B))
+        scaled = [int(t * 12) for t in target]  # denominators divide 12
+        rises = len(minor_gcd_diagonal(B + [scaled])) > rank
+        assert (x is None) == rises, (B, target)
+        if x is not None:
+            assert len(x) == m
+            assert vec_mat(x, B) == target
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +263,6 @@ def test_lattice_row_basis_spans_same_lattice():
         m = rng.randint(1, 7)
         gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         basis = lattice_row_basis(gens)
-        from k3lat.lattice_core import solve_left
-
         for g in gens:
             x = solve_left(basis, g) if basis else None
             if basis:

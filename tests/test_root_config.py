@@ -3,7 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from k3lat.finite_geometry import affine_hyperplanes, affine_space, ag23_lattice, kummer_lattice, line_complements
+from k3lat.finite_geometry import (
+    affine_hyperplanes,
+    affine_space,
+    ag23_lattice,
+    glue_overlattice,
+    kummer_lattice,
+    line_complements,
+)
 from k3lat.lattice_core import (
     EmbeddedSublattice,
     GramLattice,
@@ -150,6 +157,31 @@ def test_ag23_witnesses_are_line_complements_plus_full_set():
         assert total == [3 * x for x in w.quotient_class]
 
 
+def test_ag23_torsion_bit_does_not_block_odd_p():
+    _, cfg = ag23_lattice()
+    # one order-2 torsion bit on the first class of chain 0
+    chains = tuple(
+        tuple(v + (int(i == 0 and k == 0),) for k, v in enumerate(chain))
+        for i, chain in enumerate(cfg.chains)
+    )
+    torsion = (0,) * cfg.ambient.rank + (1,)
+    with_bit = ChainConfiguration(cfg.ambient, 3, chains, torsion_class=torsion)
+    witnesses = find_p_divisible_subsets(with_bit)
+    assert witnesses == find_p_divisible_subsets(cfg) and len(witnesses) == 13
+
+
+def test_torsion_bit_still_counts_for_p2():
+    _, cfg = kummer_lattice()
+    chains = tuple(
+        tuple(v + (int(i == 0),) for v in chain) for i, chain in enumerate(cfg.chains)
+    )
+    torsion = (0,) * cfg.ambient.rank + (1,)
+    with_bit = ChainConfiguration(cfg.ambient, 2, chains, torsion_class=torsion)
+    expected = [w for w in find_p_divisible_subsets(cfg) if 0 not in w.subset]
+    assert find_p_divisible_subsets(with_bit) == expected
+    assert len(expected) == 15
+
+
 # ---------------------------------------------------------------------------
 # glue group vs witness list, on random glue-code models
 
@@ -182,41 +214,7 @@ def random_self_orthogonal_code(rng, p, c):
 
 def build_code_model(p, c, code_basis):
     """Overlattice of c orthogonal A_{p-1} chains glued along the given code."""
-    from k3lat.lattice_core import GramLattice as GL
-    from k3lat.lattice_core import lattice_row_basis, solve_left
-
-    m = c * (p - 1)
-    block = catalog_lattice(f"A{p - 1}")
-    big = [[0] * m for _ in range(m)]
-    for i in range(c):
-        off = i * (p - 1)
-        for a in range(p - 1):
-            for b in range(p - 1):
-                big[off + a][off + b] = block.gram[a][b]
-    gens = [[p if j == idx else 0 for j in range(m)] for idx in range(m)]
-    for w in code_basis:
-        vec = [0] * m
-        for i in range(c):
-            for k in range(1, p):
-                vec[i * (p - 1) + k - 1] = (w[i] * k) % p
-        gens.append(vec)
-    basis = lattice_row_basis(gens)
-    gram = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            num = sum(basis[i][a] * big[a][b] * basis[j][b] for a in range(m) for b in range(m))
-            assert num % (p * p) == 0
-            gram[i][j] = num // (p * p)
-    amb = GL(tuple(map(tuple, gram)))
-    chains = []
-    for i in range(c):
-        chain = []
-        for k in range(1, p):
-            target = [p if j == i * (p - 1) + k - 1 else 0 for j in range(m)]
-            x = solve_left(basis, target)
-            chain.append(tuple(int(f) for f in x))
-        chains.append(tuple(chain))
-    return ChainConfiguration(amb, p, tuple(chains))
+    return glue_overlattice(p, c, code_basis)[1]
 
 
 def test_glue_trivial_iff_no_witness_random_models():
@@ -244,14 +242,6 @@ def test_search_space_guard():
     _, cfg = kummer_lattice()
     with pytest.raises(SearchSpaceError):
         find_p_divisible_subsets(cfg, max_candidates=3)
-
-
-def test_threaded_search_matches_sequential():
-    for builder in (kummer_lattice, ag23_lattice):
-        _, cfg = builder()
-        sequential = find_p_divisible_subsets(cfg, threads=1)
-        threaded = find_p_divisible_subsets(cfg, threads=4)
-        assert sequential == threaded
 
 
 # ---------------------------------------------------------------------------
