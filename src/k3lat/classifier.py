@@ -1,8 +1,12 @@
 """Decision procedures over the bundled classification tables.
 
 The two tables (18 rows for the K3 case, 26 for the Enriques case) ship as
-JSON; the classifiers take the divisibility facts as *inputs* - computed
-upstream when lattice data is available - and pick the unique matching row.
+JSON and are the only source of the classification: the classifiers take the
+divisibility facts as *inputs* - computed upstream when lattice data is
+available - and pick the unique row whose p, range of c and conditions fit.
+K3 facts are optional: a missing fact is inferred exactly when one row fits
+(p, c) alone, and any other count of fitting rows is a ``FactsError`` that
+names the rows.
 The Enriques classifier additionally re-derives its answer: it classifies
 the double cover, then runs the group-extension filter with the row's
 recorded facts and checks that exactly the stored group survives.
@@ -131,6 +135,19 @@ def _table(table_id: int) -> tuple[dict, ...]:
     return _table_from(table_id, str(data_dir()))
 
 
+def _row_matches_p(row: dict, p: int) -> bool:
+    return row["p"] == p or (row["p"] == "gt7" and p > 7)
+
+
+def _unique_row(matches: list[dict], what: str) -> dict:
+    if len(matches) != 1:
+        raise FactsError(
+            f"{len(matches)} table rows {[r['no'] for r in matches]} match {what}; "
+            "the facts must select exactly one"
+        )
+    return matches[0]
+
+
 # ---------------------------------------------------------------------------
 # cover arithmetic
 
@@ -157,19 +174,16 @@ def cover_euler_solutions() -> list[tuple[int, int, str]]:
 
 
 def admissible_pairs(surface: str) -> list[tuple[int, int]]:
-    """(p, largest admissible c) for each prime, per surface kind."""
-    if surface == "K3":
-        return [(2, 16), (3, 9), (5, 4), (7, 3), (11, 1), (13, 1), (17, 1), (19, 1)]
-    if surface == "Enriques":
-        return [(2, 8), (3, 4), (5, 2), (7, 1)]
-    raise ValueError("surface must be 'K3' or 'Enriques'")
-
-
-def _max_c(surface: str, p: int) -> Optional[int]:
-    for q, cmax in admissible_pairs(surface):
-        if q == p:
-            return cmax
-    return None
+    """(p, largest admissible c) for each prime, per surface kind, read off the table."""
+    table_id = {"K3": 1, "Enriques": 2}.get(surface)
+    if table_id is None:
+        raise ValueError("surface must be 'K3' or 'Enriques'")
+    out = []
+    for p in _K3_PRIMES:
+        cs = [r["c_max"] for r in _table(table_id) if _row_matches_p(r, p)]
+        if cs:
+            out.append((p, max(cs)))
+    return out
 
 
 def transport_singularities(count: int, ramified: int, p: int) -> int:
@@ -196,80 +210,18 @@ def _render_sing_y(row: dict, p: int, c: int) -> str:
 # the K3 classifier
 
 
-def _k3_effective_facts(p: int, c: int, facts: Optional[str]) -> str:
-    if facts in ("one_H", "two_H") and (p, c) != (2, 12):
-        raise FactsError(f"{facts} applies only to twelve points with p = 2")
-    if facts in ("one_R", "two_R") and (p, c) != (3, 8):
-        raise FactsError(f"{facts} applies only to eight points with p = 3")
-
-    min_div = {2: 8, 3: 6, 5: 4, 7: 3}.get(p)  # smallest divisible subset
-    always_div = {2: 12, 3: 8}.get(p)  # from here the span is never primitive
-
-    if facts == "nonprimitive" and min_div is not None and c < min_div:
-        raise FactsError(
-            f"a p-divisible subset needs at least {min_div} points when p = {p}; "
-            f"with c = {c} the span is always primitive"
-        )
-    if p > 7 and facts == "nonprimitive":
-        raise FactsError("for p > 7 the span is always primitive")
-    if facts == "primitive" and always_div is not None and c >= always_div:
-        raise FactsError(
-            f"with p = {p} and c = {c} a divisible subset always exists; "
-            "the span cannot be primitive"
-        )
-
-    if facts is not None:
-        if (p, c) == (2, 12) and facts == "nonprimitive":
-            raise FactsError("at twelve points specify one_H or two_H")
-        if (p, c) == (3, 8) and facts == "nonprimitive":
-            raise FactsError("at eight points specify one_R or two_R")
-        return facts
-
-    # inference where the tables leave no choice
-    if p == 2:
-        if c <= 7:
-            return "primitive"
-        if 13 <= c <= 16:
-            return "nonprimitive"
-    elif p == 3:
-        if c <= 5:
-            return "primitive"
-        if c == 9:
-            return "nonprimitive"
-    elif p == 5 and c <= 3:
-        return "primitive"
-    elif p == 7 and c <= 2:
-        return "primitive"
-    elif p > 7:
-        return "primitive"
-    raise FactsError(
-        f"p = {p}, c = {c} is ambiguous: supply a divisibility fact "
-        "(primitive / nonprimitive / one_H / two_H / one_R / two_R)"
-    )
-
-
-def _row_matches_p(row: dict, p: int) -> bool:
-    return row["p"] == p or (row["p"] == "gt7" and p > 7)
-
-
 def k3_classify(inp: K3Input) -> TableRow:
     p, c = inp.p, inp.c
     if p not in _K3_PRIMES:
         raise FactsError(f"p = {p} is not an admissible prime (needs p <= 19, prime)")
-    cmax = _max_c("K3", p)
-    if not 1 <= c <= cmax:
-        raise FactsError(f"for p = {p} the point count must satisfy 1 <= c <= {cmax}")
-    effective = _k3_effective_facts(p, c, inp.facts)
     matches = [
         r
         for r in _table(1)
-        if _row_matches_p(r, p) and r["c_min"] <= c <= r["c_max"] and r["condition"] == effective
+        if _row_matches_p(r, p)
+        and r["c_min"] <= c <= r["c_max"]
+        and inp.facts in (None, r["condition"])
     ]
-    if not matches:
-        raise FactsError(f"no table row matches p = {p}, c = {c}, facts = {effective}")
-    if len(matches) > 1:
-        raise FactsError("facts underdetermine row")
-    row = matches[0]
+    row = _unique_row(matches, f"p = {p}, c = {c}, facts = {inp.facts}")
     return TableRow(
         table=1,
         number=row["no"],
@@ -328,24 +280,15 @@ def _derive_enriques_group(row: dict, p: int, c: int) -> None:
 
 def enriques_classify(inp: EnriquesInput) -> TableRow:
     p, c = inp.p, inp.c
-    cmax = _max_c("Enriques", p)
-    if cmax is None or not 1 <= c <= cmax:
-        raise FactsError(f"no Enriques case has p = {p}, c = {c}")
-    matches = []
-    for row in _table(2):
-        if row["p"] != p or not row["c_min"] <= c <= row["c_max"]:
-            continue
-        if row.get("w") and inp.w != row["w"]:
-            continue
-        if row.get("cover") and inp.cover != row["cover"]:
-            continue
-        matches.append(row)
-    if len(matches) != 1:
-        raise FactsError(
-            f"facts underdetermine row: {len(matches)} rows match "
-            f"p = {p}, c = {c}, w = {inp.w}, cover = {inp.cover}"
-        )
-    row = matches[0]
+    matches = [
+        r
+        for r in _table(2)
+        if r["p"] == p
+        and r["c_min"] <= c <= r["c_max"]
+        and r.get("w") in (None, inp.w)
+        and r.get("cover") in (None, inp.cover)
+    ]
+    row = _unique_row(matches, f"p = {p}, c = {c}, w = {inp.w}, cover = {inp.cover}")
     _derive_enriques_group(row, p, c)
     return TableRow(
         table=2,

@@ -37,8 +37,12 @@ def _require(args, name: str):
     return value
 
 
+def _reject_non_integer(token: str):
+    raise CliError(f"non-integer number {token} in JSON input; only integers are accepted")
+
+
 def _load_json_arg(value: str):
-    """Inline JSON, or a path to a JSON file."""
+    """Inline JSON, or a path to a JSON file; every number in it must be an integer."""
     text = value
     if not value.lstrip().startswith(("{", "[", '"')):
         try:
@@ -47,7 +51,7 @@ def _load_json_arg(value: str):
         except OSError as exc:
             raise CliError(f"cannot read {value}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
@@ -88,9 +92,16 @@ def _fields(what: str):
         raise CliError(f"bad {what}: {exc}") from exc
 
 
+def _as_object(obj) -> dict:
+    """The top level of a JSON input that must be an object; use inside ``_fields``."""
+    if not isinstance(obj, dict):
+        raise TypeError("the top level must be a JSON object")
+    return obj
+
+
 def _config_from_json(obj):
     with _fields("configuration"):
-        torsion = obj.get("kw_mod2")
+        torsion = _as_object(obj).get("kw_mod2")
         return root_config.ChainConfiguration(
             ambient=lattice_core.parse_lattice(obj["ambient"]),
             p=int(obj["p"]),
@@ -106,17 +117,23 @@ def _config_from_json(obj):
 def _cmd_lattice(args):
     if args.op == "snf":
         M = _load_json_arg(_require(args, "matrix"))
+        with _fields("matrix"):
+            M = lattice_core.copy_matrix(M)
         D, P, Q = lattice_core.smith_normal_form(M)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         return 0, {"diagonal": diag, "D": D, "P": P, "Q": Q}, [f"diagonal: {diag}"]
-    lat = lattice_core.parse_lattice(_load_json_arg(_require(args, "lattice")))
+    obj = _load_json_arg(_require(args, "lattice"))
+    with _fields("lattice"):
+        lat = lattice_core.parse_lattice(obj)
     if args.op == "disc":
         inv = lattice_core.discriminant_group(lat)
         return 0, {"invariants": list(inv.factors), "order": inv.order}, [
             f"discriminant group: {inv} (order {inv.order})"
         ]
     if args.op == "closure":
-        basis = tuple(tuple(int(x) for x in v) for v in _load_json_arg(_require(args, "basis")))
+        obj = _load_json_arg(_require(args, "basis"))
+        with _fields("basis"):
+            basis = tuple(tuple(int(x) for x in v) for v in obj)
         closure, glue = lattice_core.primitive_closure(
             lattice_core.EmbeddedSublattice(lat, basis)
         )
@@ -129,7 +146,7 @@ def _cmd_lattice(args):
 
 def _cmd_config(args):
     cfg = _config_from_json(_load_json_arg(args.config))
-    witnesses = root_config.find_p_divisible_subsets(cfg, max_candidates=args.max_candidates)
+    witnesses = root_config.find_p_divisible_subsets(cfg)
     if args.op == "divisible":
         payload = [
             {
@@ -192,7 +209,7 @@ def _cmd_geometry(args):
 def _cmd_fibration(args):
     obj = _load_json_arg(args.spec)
     with _fields("fibration"):
-        spec = elliptic.parse_fibration(obj)
+        spec = elliptic.parse_fibration(_as_object(obj))
     if args.op == "validate":
         report = elliptic.validate_fibration(spec)
         payload = {
@@ -209,7 +226,7 @@ def _cmd_fibration(args):
     if args.op == "relation":
         rel = _load_json_arg(_require(args, "relation"))
         with _fields("relation"):
-            lhs = elliptic.parse_divisor(rel["lhs"])
+            lhs = elliptic.parse_divisor(_as_object(rel)["lhs"])
             rhs = elliptic.parse_divisor(rel["rhs"])
             p = int(rel["p"])
         ok = elliptic.verify_divisibility_relation(spec, lhs, p, rhs)
@@ -228,12 +245,12 @@ def _cmd_groups(args):
         elif not args.presentation:
             raise CliError("--group or --presentation is required")
         else:
-            pres = _load_json_arg(_require(args, "presentation"))
+            obj = _load_json_arg(_require(args, "presentation"))
+            with _fields("presentation"):
+                obj = _as_object(obj)
+                pres = GroupPresentation(tuple(obj["gens"]), tuple(obj["rels"]))
             try:
-                table = group_from_presentation(
-                    GroupPresentation(tuple(pres["gens"]), tuple(pres["rels"])),
-                    bound=args.bound,
-                )
+                table = group_from_presentation(pres, bound=args.bound)
             except EnumerationBound as exc:
                 raise CliError(str(exc)) from exc
         payload = {
@@ -346,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "singular K3 and Enriques surface complements.",
     )
     top.add_argument("--json", action="store_true", help="emit the JSON payload")
-    top.add_argument(
-        "--max-candidates", type=int, default=10**9, help="bound on divisibility search size"
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     lat = sub.add_parser("lattice", help="Smith form, discriminant group, saturation")

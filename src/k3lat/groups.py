@@ -30,8 +30,10 @@ class GroupPresentation:
 
     def __post_init__(self):
         for g in self.generators:
-            if len(g) != 1 or not g.islower():
+            if not isinstance(g, str) or len(g) != 1 or not g.islower():
                 raise ValueError("generator names must be single lowercase letters")
+        if not all(isinstance(r, str) for r in self.relators):
+            raise ValueError("relators must be words, given as strings")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
 

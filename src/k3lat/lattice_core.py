@@ -468,6 +468,8 @@ def catalog_lattice(name: str) -> GramLattice:
     ``K3`` is U^3 + two negative definite E8 blocks; ``ENRIQUES_FREE`` is
     U + one negative definite E8 block.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"lattice name must be a string, not {name!r}")
     name = name.strip()
     if name == "K3":
         u = GramLattice(tuple(map(tuple, _U_GRAM)))
@@ -515,6 +517,8 @@ def parse_lattice(obj) -> GramLattice:
             return lat
         if "sum" in obj:
             parts = [parse_lattice(p) for p in obj["sum"]]
+            if not parts:
+                raise ValueError("'sum' needs at least one lattice")
             out = parts[0]
             for p in parts[1:]:
                 out = out.direct_sum(p)

@@ -148,9 +148,13 @@ def find_p_divisible_subsets(
 
     Coefficient vectors related by a global unit scaling mod p are the same
     divisibility datum; the representative returned has first coefficient 1.
-    The search enumerates the kernel of the mod-p coefficient map, which is
-    tiny in every real configuration; ``max_candidates`` guards the kernel
-    enumeration and ``SearchSpaceError`` is raised if it would be exceeded.
+    The search enumerates the kernel of the mod-p coefficient map
+    projectively: each combination of the k kernel basis vectors whose first
+    nonzero entry is 1 gives one class, (p^k - 1)/(p - 1) in all, so no class
+    is met twice.  The kernel is tiny in every real configuration;
+    ``SearchSpaceError`` is raised if p^k - 1 would exceed ``max_candidates``.
+    Every witness is re-verified integrally; the kernel is taken on the same
+    coordinates, so the re-check is an assertion that cannot fail.
     Torsion bits only count for p = 2: order-2 torsion is p-divisible for
     odd p, so there the search sees the free coordinates alone.
     """
@@ -170,45 +174,34 @@ def find_p_divisible_subsets(
             f"kernel enumeration needs {p**k - 1} candidates (> {max_candidates})"
         )
 
-    def normalise(combo) -> Optional[tuple[int, ...]]:
-        d = [sum(combo[i] * kernel[i][j] for i in range(k)) % p for j in range(c)]
-        support = [i for i in range(c) if d[i] != 0]
-        if not support:
-            return None
-        unit = pow(d[support[0]], -1, p)  # first nonzero coefficient becomes 1
-        return tuple((x * unit) % p for x in d)
-
-    keys = set()
-    for combo in product(range(p), repeat=k):
-        key = normalise(combo)
-        if key is not None:
-            keys.add(key)
-
     witnesses = []
-    for d in sorted(keys):
-        support = tuple(i for i in range(c) if d[i] != 0)
-        total = [0] * n
-        for i in support:
-            w = weighted_chain_class(cfg.chains[i], d[i])[:n]
-            for j in range(n):
-                total[j] += w[j]
-        if any(x % p != 0 for x in total):
-            continue  # mod-p solution failed the integral check
-        quotient = tuple(total[j] // p for j in range(cfg.ambient.rank))
-        witnesses.append(
-            DivisibleSubsetWitness(
-                subset=support,
-                coefficients=tuple(d[i] for i in support),
-                quotient_class=quotient,
+    for lead in range(k):
+        for tail in product(range(p), repeat=k - lead - 1):
+            combo = list(zip((1, *tail), kernel[lead:]))
+            d = [sum(x * v[j] for x, v in combo) % p for j in range(c)]
+            support = tuple(i for i in range(c) if d[i] != 0)
+            unit = pow(d[support[0]], -1, p)  # first nonzero coefficient becomes 1
+            d = [(x * unit) % p for x in d]
+            total = [0] * n
+            for i in support:
+                w = weighted_chain_class(cfg.chains[i], d[i])[:n]
+                for j in range(n):
+                    total[j] += w[j]
+            assert all(x % p == 0 for x in total), "a kernel vector failed the integral check"
+            witnesses.append(
+                DivisibleSubsetWitness(
+                    subset=support,
+                    coefficients=tuple(d[i] for i in support),
+                    quotient_class=tuple(total[j] // p for j in range(cfg.ambient.rank)),
+                )
             )
-        )
     witnesses.sort(key=lambda w: (len(w.subset), w.subset, w.coefficients))
     return witnesses
 
 
-def is_primitive_configuration(cfg: ChainConfiguration, max_candidates: int = 10**9) -> bool:
+def is_primitive_configuration(cfg: ChainConfiguration) -> bool:
     """True when no nonempty weighted chain subset is p-divisible."""
-    return not find_p_divisible_subsets(cfg, max_candidates=max_candidates)
+    return not find_p_divisible_subsets(cfg)
 
 
 def chain_span_glue(cfg: ChainConfiguration) -> AbelianInvariants:

@@ -75,6 +75,30 @@ def test_k3_roundtrip_all_rows():
                 assert got.number == row["no"], (row["no"], p, c)
 
 
+# rows for facts=None, written out by hand; None marks "the facts must choose"
+K3_INFERRED = {
+    2: {**dict.fromkeys(range(1, 8), 1), **dict.fromkeys(range(8, 13)), 13: 5, 14: 6, 15: 7, 16: 8},
+    3: {**dict.fromkeys(range(1, 6), 9), 6: None, 7: None, 8: None, 9: 13},
+    5: {1: 14, 2: 14, 3: 14, 4: None},
+    7: {1: 16, 2: 16, 3: None},
+    **{p: {1: 18} for p in (11, 13, 17, 19)},
+    9: {1: None},
+    23: {1: None},
+}
+
+
+def test_k3_inference_without_facts():
+    for p, rows in K3_INFERRED.items():
+        for c, expected in rows.items():
+            if expected is None:
+                with pytest.raises(FactsError):
+                    k3_classify(K3Input(p, c))
+            else:
+                assert k3_classify(K3Input(p, c)).number == expected, (p, c)
+    with pytest.raises(FactsError, match=r"\[3, 4\]"):
+        k3_classify(K3Input(2, 12))
+
+
 def test_k3_sing_y_column():
     assert k3_classify(K3Input(2, 9, "nonprimitive")).sing_y == "2A1"
     assert k3_classify(K3Input(2, 11, "nonprimitive")).sing_y == "6A1"

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from k3lat.cli import run
 from k3lat.data import data_dir
 
@@ -173,6 +175,27 @@ def test_malformed_json_exit_2(capsys):
     code, _, err = run_capture(capsys, ["lattice", "snf", "--matrix", "[[2,0],"])
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lattice", "snf", "--matrix", "[1,2]"], "bad matrix"),
+        (["lattice", "snf", "--matrix", "[[1.5,2]]"], "1.5"),
+        (["lattice", "snf", "--matrix", "[[Infinity]]"], "Infinity"),
+        (["lattice", "disc", "--lattice", '{"gram":5}'], "bad lattice"),
+        (["lattice", "disc", "--lattice", '{"sum":5}'], "bad lattice"),
+        (["lattice", "disc", "--lattice", '{"gram":[[2.7]]}'], "2.7"),
+        (["groups", "build", "--presentation", '{"gens":["a"]}'], "missing field 'rels'"),
+        (["groups", "build", "--presentation", '{"gens":5,"rels":[]}'], "bad presentation"),
+        (["groups", "build", "--presentation", "[]"], "bad presentation"),
+        (["config", "divisible", "--config", "[]"], "bad configuration"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv, named):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
 def test_fibration_missing_fields_exit_2(capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -236,6 +236,59 @@ def test_glue_trivial_iff_no_witness_random_models():
         expected = (p ** len(code) - 1) // (p - 1)
         assert len(witnesses) == expected
         ran += 1
+
+
+def brute_force_witnesses(cfg):
+    """Every nonzero coefficient vector, kept when its weighted chain sum is
+    0 mod p on the searched coordinates (all of them for p = 2, the free ones
+    otherwise), then scaled to a leading 1."""
+    p, rank = cfg.p, cfg.ambient.rank
+    n = cfg.vector_length if p == 2 else rank
+
+    def weighted_sum(d, length):
+        return [
+            sum(d[i] * k * cfg.chains[i][k - 1][j] for i in range(len(d)) for k in range(1, p))
+            for j in range(length)
+        ]
+
+    found = set()
+    for d in product(range(p), repeat=cfg.count):
+        if any(d) and all(x % p == 0 for x in weighted_sum(d, n)):
+            unit = pow(next(x for x in d if x), -1, p)
+            found.add(tuple(x * unit % p for x in d))
+    out = []
+    for d in found:
+        support = tuple(i for i, x in enumerate(d) if x)
+        quotient = tuple(x // p for x in weighted_sum(d, rank))
+        out.append((support, tuple(d[i] for i in support), quotient))
+    return sorted(out, key=lambda w: (len(w[0]), w[0], w[1]))
+
+
+def with_torsion_bits(cfg, rng, bits=2):
+    chains = tuple(
+        tuple(v + tuple(rng.randrange(2) for _ in range(bits)) for v in chain)
+        for chain in cfg.chains
+    )
+    torsion = (0,) * cfg.ambient.rank + tuple(rng.randrange(2) for _ in range(bits))
+    return ChainConfiguration(cfg.ambient, cfg.p, chains, torsion_class=torsion)
+
+
+def test_search_matches_brute_force_oracle():
+    rng = random.Random(7)
+    models = []
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            c = rng.randint(1, 4)
+            models.append(glue_overlattice(p, c, random_self_orthogonal_code(rng, p, c))[1])
+    models += [with_torsion_bits(m, rng) for m in models if m.p in (2, 3)]
+    nonempty = 0
+    for cfg in models:
+        expected = brute_force_witnesses(cfg)
+        got = [(w.subset, w.coefficients, w.quotient_class)
+               for w in find_p_divisible_subsets(cfg)]
+        assert got == expected, (cfg.p, cfg.count)
+        nonempty += bool(expected)
+    assert nonempty >= 10
 
 
 def test_search_space_guard():
