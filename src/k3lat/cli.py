@@ -41,8 +41,23 @@ def _reject_non_integer(token: str):
     raise CliError(f"non-integer number {token} in JSON input; only integers are accepted")
 
 
+def _reject_booleans(obj):
+    """Walk a parsed JSON value: ``true``/``false`` would otherwise pass as 1 and 0."""
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, bool):
+            raise CliError(f"boolean {json.dumps(x)} in JSON input; only integers are accepted")
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+    return obj
+
+
 def _load_json_arg(value: str):
-    """Inline JSON, or a path to a JSON file; every number in it must be an integer."""
+    """Inline JSON, or a path to a JSON file; every number in it must be an integer
+    and no value may be a boolean."""
     text = value
     if not value.lstrip().startswith(("{", "[", '"')):
         try:
@@ -51,9 +66,10 @@ def _load_json_arg(value: str):
         except OSError as exc:
             raise CliError(f"cannot read {value}: {exc}") from exc
     try:
-        return json.loads(text, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
+        obj = json.loads(text, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _reject_booleans(obj)
 
 
 def _jsonable(obj):

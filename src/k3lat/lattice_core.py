@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 
@@ -341,10 +342,22 @@ class GramLattice:
     def is_unimodular(self) -> bool:
         return abs(self.det()) == 1
 
-    def dot(self, v: Sequence[int], w: Sequence[int]) -> int:
-        if len(v) < self.rank or len(w) < self.rank:
+    def gram_image(self, v: Sequence[int]) -> list[int]:
+        """The row vector v·G over the first ``rank`` entries of v.
+
+        G is symmetric, so entry j is the inner product of row j with v.
+        Pairing the image with w is then one length-``rank`` inner product,
+        ``sum(map(mul, image, w))``, which ignores entries of w past ``rank``.
+        """
+        if len(v) < self.rank:
             raise ValueError("vector shorter than the lattice rank")
-        return sum(v[i] * self.gram[i][j] * w[j] for i in range(self.rank) for j in range(self.rank))
+        return [sum(map(mul, row, v)) for row in self.gram]
+
+    def dot(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """v·G·w over the first ``rank`` entries: the image of v paired with w."""
+        if len(w) < self.rank:
+            raise ValueError("vector shorter than the lattice rank")
+        return sum(map(mul, self.gram_image(v), w))
 
     def direct_sum(self, other: "GramLattice", name: Optional[str] = None) -> "GramLattice":
         n, m = self.rank, other.rank

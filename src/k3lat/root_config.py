@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Literal, Optional, Sequence
 
 from .lattice_core import (
@@ -88,12 +89,20 @@ class ChainConfiguration:
         return len(self.chains[0][0])
 
     def _check_gram(self):
-        dot = self.ambient.dot
+        """Every class pairs as an A_{p-1} block with its own chain and to 0 with the others.
+
+        Each class's Gram image is taken once (``GramLattice.gram_image``);
+        every pairing is then one inner product of an image with a class
+        vector over the first ``ambient.rank`` entries, so torsion bits are
+        not paired.  All pairs are checked, and the first failing one is
+        reported.
+        """
+        images = [[self.ambient.gram_image(v) for v in chain] for chain in self.chains]
         for ci, chain in enumerate(self.chains):
-            for a in range(len(chain)):
+            for a, image in enumerate(images[ci]):
                 for b in range(a, len(chain)):
                     want = -2 if a == b else (1 if b == a + 1 else 0)
-                    got = dot(chain[a], chain[b])
+                    got = sum(map(mul, image, chain[b]))
                     if got != want:
                         raise ValueError(
                             f"chain {ci} is not an A_{self.p - 1} block: "
@@ -101,9 +110,9 @@ class ChainConfiguration:
                         )
         for ci in range(len(self.chains)):
             for cj in range(ci + 1, len(self.chains)):
-                for a, va in enumerate(self.chains[ci]):
+                for a, image in enumerate(images[ci]):
                     for b, vb in enumerate(self.chains[cj]):
-                        got = dot(va, vb)
+                        got = sum(map(mul, image, vb))
                         if got != 0:
                             raise ValueError(
                                 f"chains {ci} and {cj} are not orthogonal "

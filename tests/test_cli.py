@@ -190,6 +190,7 @@ def test_malformed_json_exit_2(capsys):
         (["groups", "build", "--presentation", '{"gens":5,"rels":[]}'], "bad presentation"),
         (["groups", "build", "--presentation", "[]"], "bad presentation"),
         (["config", "divisible", "--config", "[]"], "bad configuration"),
+        (["lattice", "snf", "--matrix", "[[true,2]]"], "boolean true"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

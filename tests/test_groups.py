@@ -104,9 +104,8 @@ def test_group_tables_are_hashable():
     assert len({d8, copy, catalog_group("(Z/2)^3")}) == 2
 
 
-def test_is_isomorphic_under_shuffled_numbering():
-    rng = random.Random(4)
-    g = catalog_group("Gamma2c1")
+def relabelled(g, rng):
+    """The table of g with its non-identity elements renumbered at random."""
     perm = list(range(1, g.order))
     rng.shuffle(perm)
     perm = [0] + perm
@@ -114,7 +113,30 @@ def test_is_isomorphic_under_shuffled_numbering():
     shuffled = [
         [inv_perm[g.table[perm[a]][perm[b]]] for b in range(g.order)] for a in range(g.order)
     ]
-    assert is_isomorphic(g, FiniteGroupTable(tuple(map(tuple, shuffled))))
+    return FiniteGroupTable(tuple(map(tuple, shuffled)))
+
+
+def test_is_isomorphic_under_shuffled_numbering():
+    g = catalog_group("Gamma2c1")
+    assert is_isomorphic(g, relabelled(g, random.Random(4)))
+
+
+def test_isomorphism_invariant_under_random_relabelling():
+    rng = random.Random(31)
+    groups = [catalog_group(n) for n in CATALOG_ORDER]
+    rivals = 0
+    for g in groups:
+        for _ in range(3):
+            h = relabelled(g, rng)
+            assert is_isomorphic(g, h) and is_isomorphic(h, g), g.name
+            # catalog entries are pairwise non-isomorphic, so every other
+            # entry of the same order must still be told apart
+            for other in groups:
+                if other is not g and other.order == g.order:
+                    assert not is_isomorphic(h, other), (g.name, other.name)
+                    assert not is_isomorphic(other, h), (g.name, other.name)
+                    rivals += 1
+    assert rivals >= 60
 
 
 def test_split_extension_name_matches_order16_group():

@@ -291,6 +291,108 @@ def test_search_matches_brute_force_oracle():
     assert nonempty >= 10
 
 
+def brute_force_gram_error(ambient, p, chains):
+    """The message of the first failing pair under sum_ij v_i G_ij w_j, or None.
+
+    Pairs are visited as the check promises: within each chain (a <= b),
+    then every pair of distinct chains; only the first rank entries pair."""
+    r, G = ambient.rank, ambient.gram
+
+    def pair(v, w):
+        return sum(v[i] * G[i][j] * w[j] for i in range(r) for j in range(r))
+
+    for ci, chain in enumerate(chains):
+        for a in range(len(chain)):
+            for b in range(a, len(chain)):
+                want = -2 if a == b else (1 if b == a + 1 else 0)
+                got = pair(chain[a], chain[b])
+                if got != want:
+                    return (f"chain {ci} is not an A_{p - 1} block: "
+                            f"classes {a},{b} pair to {got}, expected {want}")
+    for ci in range(len(chains)):
+        for cj in range(ci + 1, len(chains)):
+            for a, va in enumerate(chains[ci]):
+                for b, vb in enumerate(chains[cj]):
+                    got = pair(va, vb)
+                    if got != 0:
+                        return (f"chains {ci} and {cj} are not orthogonal "
+                                f"(classes {a},{b} pair to {got})")
+    return None
+
+
+def perturbed_class(rng, v, rank):
+    """v plus a nonzero vector with entries in {-1, 0, 1} on the first rank entries."""
+    u = [0] * rank
+    while not any(u):
+        u = [rng.randint(-1, 1) for _ in range(rank)]
+    return tuple(x + y for x, y in zip(v, u)) + tuple(v[rank:])
+
+
+def test_gram_check_matches_brute_force_oracle():
+    rng = random.Random(2024)
+    cases = []  # (ambient, p, chains, torsion_class)
+    for p in (2, 3, 5, 7):
+        for _ in range(4):
+            c = rng.randint(2, 4)
+            cfg = glue_overlattice(p, c, random_self_orthogonal_code(rng, p, c))[1]
+            cases.append((cfg.ambient, p, cfg.chains, None))
+            tcfg = with_torsion_bits(cfg, rng)
+            cases.append((tcfg.ambient, p, tcfg.chains, tcfg.torsion_class))
+    broken, flipped_bits = [], []
+    for ambient, p, chains, torsion in cases:
+        rank = ambient.rank
+        # one class moved: some pairing inside its chain (or across) breaks
+        i, k = rng.randrange(len(chains)), rng.randrange(p - 1)
+        moved = [list(ch) for ch in chains]
+        moved[i][k] = perturbed_class(rng, moved[i][k], rank)
+        broken.append((ambient, p, tuple(map(tuple, moved)), torsion))
+        # one chain replaced by a copy of another: every chain is still an
+        # A_{p-1} block, but the two are no longer orthogonal
+        i, j = rng.sample(range(len(chains)), 2)
+        copied = list(chains)
+        copied[j] = chains[i]
+        broken.append((ambient, p, tuple(copied), torsion))
+        # the torsion bits alone changed: the pairing must not see them
+        if torsion is not None:
+            flipped = tuple(
+                tuple(v[:rank] + tuple(1 - x for x in v[rank:]) for v in ch) for ch in chains
+            )
+            flipped_bits.append((ambient, p, flipped, torsion))
+    cases += flipped_bits
+    seen = {"valid": 0, "block": 0, "orthogonal": 0}
+    for ambient, p, chains, torsion in cases + broken:
+        expected = brute_force_gram_error(ambient, p, chains)
+        try:
+            ChainConfiguration(ambient, p, chains, torsion_class=torsion)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (p, len(chains))
+        seen["valid" if got is None else "block" if "block" in got else "orthogonal"] += 1
+    assert seen["valid"] == len(cases)
+    assert seen["block"] >= 10 and seen["orthogonal"] >= 10
+
+
+def test_dot_matches_brute_force_oracle():
+    rng = random.Random(5)
+    for _ in range(200):
+        r = rng.randint(1, 6)
+        G = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                G[i][j] = G[j][i] = rng.randint(-5, 5)
+        lat = GramLattice(tuple(map(tuple, G)))
+        # vectors may run past the rank; the extra entries do not pair
+        v = [rng.randint(-9, 9) for _ in range(r + rng.randint(0, 2))]
+        w = [rng.randint(-9, 9) for _ in range(r + rng.randint(0, 2))]
+        expected = sum(v[i] * G[i][j] * w[j] for i in range(r) for j in range(r))
+        assert lat.dot(v, w) == expected == lat.dot(w, v)
+        with pytest.raises(ValueError):
+            lat.dot(v[: r - 1], w)
+        with pytest.raises(ValueError):
+            lat.dot(v, w[: r - 1])
+
+
 def test_search_space_guard():
     _, cfg = kummer_lattice()
     with pytest.raises(SearchSpaceError):
