@@ -41,23 +41,27 @@ def _reject_non_integer(token: str):
     raise CliError(f"non-integer number {token} in JSON input; only integers are accepted")
 
 
-def _reject_booleans(obj):
-    """Walk a parsed JSON value: ``true``/``false`` would otherwise pass as 1 and 0."""
-    stack = [obj]
+_MAX_DEPTH = 100  # far deeper than any k3lat input, far below the recursion limit
+
+
+def _check_parsed(obj):
+    """Walk a parsed JSON value: ``true``/``false`` would otherwise pass as 1 and 0,
+    and nesting past ``_MAX_DEPTH`` would overflow the recursive parsers that read it."""
+    stack = [(obj, 1)]
     while stack:
-        x = stack.pop()
+        x, depth = stack.pop()
         if isinstance(x, bool):
             raise CliError(f"boolean {json.dumps(x)} in JSON input; only integers are accepted")
-        if isinstance(x, list):
-            stack.extend(x)
-        elif isinstance(x, dict):
-            stack.extend(x.values())
+        if isinstance(x, (list, dict)):
+            if depth > _MAX_DEPTH:
+                raise RecursionError
+            stack.extend((y, depth + 1) for y in (x.values() if isinstance(x, dict) else x))
     return obj
 
 
 def _load_json_arg(value: str):
-    """Inline JSON, or a path to a JSON file; every number in it must be an integer
-    and no value may be a boolean."""
+    """Inline JSON, or a path to a JSON file; every number in it must be an integer,
+    no value may be a boolean and nesting is at most ``_MAX_DEPTH`` deep."""
     text = value
     if not value.lstrip().startswith(("{", "[", '"')):
         try:
@@ -67,9 +71,11 @@ def _load_json_arg(value: str):
             raise CliError(f"cannot read {value}: {exc}") from exc
     try:
         obj = json.loads(text, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
+        return _check_parsed(obj)
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _reject_booleans(obj)
+    except RecursionError as exc:
+        raise CliError(f"JSON input is nested more than {_MAX_DEPTH} levels deep") from exc
 
 
 def _jsonable(obj):
@@ -104,7 +110,7 @@ def _fields(what: str):
         yield
     except KeyError as exc:
         raise CliError(f"bad {what}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"bad {what}: {exc}") from exc
 
 
@@ -448,10 +454,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload, lines = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, root_config.SearchSpaceError) as exc:
+    except (CliError, ValueError, root_config.SearchSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -24,7 +24,3 @@ def load_json(name: str):
     path = data_dir() / name
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def list_bundled() -> list[str]:
-    return sorted(p.name for p in data_dir().glob("*.json"))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
+
 FIBRE_SYMBOL = "F"
 
 # multiplicities and bonds of the additive fibre graphs; components are kept
@@ -340,6 +342,15 @@ def formal_gram(spec: FibrationSpec) -> tuple[list[str], list[list[int]]]:
     return gens, G
 
 
+def class_lattice(spec: FibrationSpec) -> tuple[GramLattice, dict]:
+    """The formal module modulo the radical of its pairing, as the row span of
+    the formal Gram matrix G, with the image of every formal generator; since
+    combos[i] G = basis[i], the Gram entry (i, j) is combos[i] . basis[j]."""
+    gens, G = formal_gram(spec)
+    basis, coords, combos = span_coordinates(G)
+    return GramLattice(mat_mul(combos, transpose(basis))), dict(zip(gens, map(tuple, coords)))
+
+
 def divisor_vector(spec: FibrationSpec, coeffs: dict) -> list[Fraction]:
     gens = generators(spec)
     pos = {g: i for i, g in enumerate(gens)}
@@ -377,4 +388,6 @@ def fibre_relation(spec: FibrationSpec, fibre: KodairaFibre) -> dict:
 
 def parse_divisor(obj: dict) -> dict:
     """Divisor JSON: symbol -> integer or rational string 'a/b'."""
+    if not isinstance(obj, dict):
+        raise ValueError("a divisor must be an object mapping symbols to coefficients")
     return {k: Fraction(v) for k, v in obj.items()}

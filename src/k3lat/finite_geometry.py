@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .lattice_core import GramLattice, lattice_row_basis, mat_mul, solve_left, transpose
+from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
 from .root_config import ChainConfiguration
 
 
@@ -144,7 +144,7 @@ def glue_overlattice(
         if any(w):
             gens.append([(w[i] * k) % p for i in range(c) for k in range(1, p)])
 
-    basis = lattice_row_basis(gens)
+    basis, coords, _ = span_coordinates(gens)
     gram = mat_mul(mat_mul(basis, block), transpose(basis))
     if any(x % (p * p) for row in gram for x in row):
         raise ValueError("overlattice is not integral; the glue code is invalid")
@@ -152,16 +152,9 @@ def glue_overlattice(
     if not lattice.is_even():
         raise ValueError("overlattice is not even; the glue code is invalid")
 
-    chains = []
-    for i in range(c):
-        chain = []
-        for k in range(1, p):
-            target = [p if j == slot(i, k) else 0 for j in range(m)]
-            x = solve_left(basis, target)
-            assert x is not None and all(f.denominator == 1 for f in x)
-            chain.append(tuple(int(f) for f in x))
-        chains.append(tuple(chain))
-    cfg = ChainConfiguration(ambient=lattice, p=p, chains=tuple(chains))
+    # generator slot(i, k) is the chain class p * e; its coordinates are the chain's
+    chains = tuple(tuple(tuple(coords[slot(i, k)]) for k in range(1, p)) for i in range(c))
+    cfg = ChainConfiguration(ambient=lattice, p=p, chains=chains)
     return lattice, cfg
 
 

@@ -43,10 +43,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
-def mat_vec(M: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(a * b for a, b in zip(row, v)) for row in M]
-
-
 def vec_mat(v: Sequence, M: Sequence[Sequence]) -> list:
     return [sum(v[i] * M[i][j] for i in range(len(v))) for j in range(len(M[0]))]
 
@@ -272,6 +268,23 @@ def lattice_row_basis(gens: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis for the lattice generated by the given (possibly dependent) rows."""
     d, U = _smith_span(gens)
     return [[di * x for x in row] for di, row in zip(d, U)]
+
+
+def span_coordinates(gens: Sequence[Sequence[int]]) -> tuple[list, list, list]:
+    """(basis, coords, combos) for the lattice spanned by the rows of gens.
+
+    One Smith form D = P gens Q gives all three: basis[i] = d_i Q^-1[i] is
+    the basis `lattice_row_basis` returns, coords[j][i] = (gens Q)[j][i] / d_i
+    is an exact division with gens[j] = coords[j] basis, and combos = P[:r]
+    writes basis[i] = combos[i] gens.
+    """
+    D, P, Q, Qi = _smith(gens)
+    d = _diagonal(D)
+    gq = mat_mul(gens, Q)
+    assert all(x % di == 0 for row in gq for x, di in zip(row, d))
+    coords = [[x // di for x, di in zip(row, d)] for row in gq]
+    basis = [[di * x for x in row] for di, row in zip(d, Qi)]
+    return basis, coords, P[: len(d)]
 
 
 # ---------------------------------------------------------------------------

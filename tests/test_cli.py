@@ -6,6 +6,9 @@ from k3lat.cli import run
 from k3lat.data import data_dir
 
 
+MP108 = str(data_dir() / "mp108.json")
+
+
 def run_capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr()
@@ -191,6 +194,13 @@ def test_malformed_json_exit_2(capsys):
         (["groups", "build", "--presentation", "[]"], "bad presentation"),
         (["config", "divisible", "--config", "[]"], "bad configuration"),
         (["lattice", "snf", "--matrix", "[[true,2]]"], "boolean true"),
+        (["lattice", "snf", "--matrix", "[" * 5000 + "]" * 5000], "nested"),
+        (["lattice", "disc", "--lattice", '{"sum":[' * 495 + '"A2"' + "]}" * 495], "nested"),
+        (["lattice", "snf", "--matrix", "[" * 101 + "]" * 101], "nested"),
+        (["fibration", "relation", "--spec", MP108, "--relation",
+          '{"lhs":[],"rhs":{},"p":5}'], "bad relation"),
+        (["fibration", "relation", "--spec", MP108, "--relation",
+          '{"lhs":{"A1":"1/0"},"rhs":{},"p":5}'], "bad relation"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -1,8 +1,8 @@
 """End-to-end pipelines: geometry/fibration models feed the divisibility
 search, whose output facts feed the classifier.
 
-The class lattice of a fibration is built here by quotienting the formal
-intersection module by its radical; on the bundled extremal fibrations the
+The class lattice of a fibration (`elliptic.class_lattice`) is the formal
+intersection module modulo its radical; on the bundled extremal fibrations the
 generator span is the full rank-20 class lattice whenever all torsion
 sections are listed (the determinants below are the extremal values).
 """
@@ -13,7 +13,7 @@ import pytest
 
 from k3lat.classifier import K3Input, k3_classify
 from k3lat.data import load_json
-from k3lat.elliptic import formal_gram, parse_fibration
+from k3lat.elliptic import class_lattice, formal_gram, parse_fibration
 from k3lat.finite_geometry import (
     affine_hyperplanes,
     affine_space,
@@ -22,29 +22,8 @@ from k3lat.finite_geometry import (
     kummer_lattice,
     line_complements,
 )
-from k3lat.lattice_core import GramLattice, bareiss_det, lattice_row_basis, solve_left
+from k3lat.lattice_core import bareiss_det
 from k3lat.root_config import ChainConfiguration, find_p_divisible_subsets
-
-
-def class_lattice(spec):
-    """Quotient of the formal module by the radical of its pairing."""
-    gens, G = formal_gram(spec)
-    rows = [list(r) for r in G]
-    basis_rows = lattice_row_basis(rows)
-    r = len(basis_rows)
-    coords = [solve_left(rows, b) for b in basis_rows]
-    gram = [
-        [sum(coords[i][t] * basis_rows[j][t] for t in range(len(gens))) for j in range(r)]
-        for i in range(r)
-    ]
-    assert all(v.denominator == 1 for row in gram for v in row)
-    lattice = GramLattice(tuple(tuple(int(v) for v in row) for row in gram))
-    images = {}
-    for i, g in enumerate(gens):
-        x = solve_left(basis_rows, rows[i])
-        assert all(v.denominator == 1 for v in x)
-        images[g] = tuple(int(v) for v in x)
-    return lattice, images
 
 
 # (prime, determinant, chains, expected witnesses) per bundled fibration;
@@ -91,6 +70,10 @@ def test_fibration_chain_divisibility(name):
     lattice, images = class_lattice(spec)
     assert lattice.rank == 20
     assert bareiss_det(lattice.gram_rows()) == det
+    gens, G = formal_gram(spec)
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            assert lattice.dot(images[g], images[h]) == G[i][j], (g, h)
     cfg = ChainConfiguration(
         lattice, p, tuple(tuple(images[label] for label in ch) for ch in chains)
     )

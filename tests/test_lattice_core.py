@@ -22,6 +22,7 @@ from k3lat.lattice_core import (
     primitive_closure,
     smith_normal_form,
     solve_left,
+    span_coordinates,
     vec_mat,
 )
 
@@ -258,17 +259,24 @@ def test_primitive_closure_idempotent_and_index_bound():
 
 def test_lattice_row_basis_spans_same_lattice():
     rng = random.Random(3)
+    cases = []
     for _ in range(40):
         n = rng.randint(2, 5)
         m = rng.randint(1, 7)
-        gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    cases += [[[0, 0, 0], [0, 0, 0]], [[2, 4, 6], [0, 0, 0], [1, 2, 3], [2, 4, 6]]]
+    for gens in cases:
         basis = lattice_row_basis(gens)
-        for g in gens:
+        span_basis, coords, combos = span_coordinates(gens)
+        assert span_basis == basis
+        assert mat_mul(combos, gens) == basis
+        for g, c in zip(gens, coords):
             x = solve_left(basis, g) if basis else None
             if basis:
-                assert x is not None and all(c.denominator == 1 for c in x)
+                assert x is not None and all(v.denominator == 1 for v in x)
+                assert c == x
             else:
-                assert all(v == 0 for v in g)
+                assert all(v == 0 for v in g) and c == []
 
 
 # ---------------------------------------------------------------------------
