@@ -57,7 +57,6 @@ from .root_config import (
     DivisibleSubsetWitness,
     enriques_mod2_divisibility,
     find_p_divisible_subsets,
-    is_primitive_configuration,
     odd_p_divisibility_by_finite_index,
     weighted_chain_class,
 )

@@ -268,11 +268,11 @@ def _cmd_groups(args):
             raise CliError("--group or --presentation is required")
         else:
             obj = _load_json_arg(_require(args, "presentation"))
-            with _fields("presentation"):
-                obj = _as_object(obj)
-                pres = GroupPresentation(tuple(obj["gens"]), tuple(obj["rels"]))
             try:
-                table = group_from_presentation(pres, bound=args.bound)
+                with _fields("presentation"):
+                    obj = _as_object(obj)
+                    pres = GroupPresentation(tuple(obj["gens"]), tuple(obj["rels"]))
+                    table = group_from_presentation(pres, bound=args.bound)
             except EnumerationBound as exc:
                 raise CliError(str(exc)) from exc
         payload = {

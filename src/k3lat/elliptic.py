@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
@@ -363,12 +365,12 @@ def divisor_vector(spec: FibrationSpec, coeffs: dict) -> list[Fraction]:
 
 
 def in_radical(spec: FibrationSpec, v: Sequence[Fraction]) -> bool:
+    """True when G v = 0 for the formal Gram matrix G.  The denominators of v
+    are cleared once, so every product is taken over the integers."""
     _, G = formal_gram(spec)
-    n = len(G)
-    for i in range(n):
-        if sum(G[i][j] * v[j] for j in range(n)) != 0:
-            return False
-    return True
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    w = [int(x * scale) for x in v]
+    return all(sum(map(mul, row, w)) == 0 for row in G)
 
 
 def verify_divisibility_relation(spec: FibrationSpec, lhs: dict, p: int, rhs: dict) -> bool:

@@ -26,12 +26,15 @@ class AffineSpaceModel:
     def __post_init__(self):
         from .root_config import _is_prime
 
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.p**self.n > 65536:
-            raise ValueError("affine space too large to enumerate")
+        # bounded before the primality test; n <= 16 and p <= 65536 keep p**n small
+        if self.p >= 2 and (self.n > 16 or self.p > 65536 or self.p**self.n > 65536):
+            raise ValueError(
+                f"affine space with p = {self.p}, n = {self.n} has more than 65536 points"
+            )
+        if not _is_prime(self.p):
+            raise ValueError(f"p = {self.p} is not prime")
 
     @property
     def size(self) -> int:

@@ -38,6 +38,9 @@ class GroupPresentation:
             raise ValueError("duplicate generator names")
 
 
+MAX_WORD_LENGTH = 10_000  # letters in one expanded word, as many as the default coset bound
+
+
 def parse_word(word: str, generators: Sequence[str]) -> list[int]:
     """Translate a word string into signed generator letters.
 
@@ -57,6 +60,8 @@ def parse_word(word: str, generators: Sequence[str]) -> list[int]:
         while i < len(word) and word[i].isdigit():
             count = 10 * count + int(word[i])
             i += 1
+            if len(letters) + count > MAX_WORD_LENGTH:
+                raise ValueError(f"word {word!r} expands past {MAX_WORD_LENGTH} letters")
         letters.extend([letter] * max(count, 1))
     return letters
 

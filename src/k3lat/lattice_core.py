@@ -482,6 +482,11 @@ def _scaled(gram: list[list[int]], k: int) -> list[list[int]]:
 
 
 _U_GRAM = [[0, 1], [1, 0]]
+MAX_CATALOG_RANK = 256  # a dense Gram matrix of this rank still takes about a second to reduce
+
+
+class CatalogRankError(ValueError):
+    """A catalog name whose lattice has rank above ``MAX_CATALOG_RANK``."""
 
 
 def catalog_lattice(name: str) -> GramLattice:
@@ -518,6 +523,10 @@ def catalog_lattice(name: str) -> GramLattice:
     m = _ADE_RE.match(base)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        if n > MAX_CATALOG_RANK:
+            raise CatalogRankError(
+                f"catalog lattice {name!r} has rank {n}, above {MAX_CATALOG_RANK}"
+            )
         k = -1 if scale is None else scale
         return GramLattice(tuple(map(tuple, _scaled(cartan_matrix(kind, n), k))), name=name)
     raise ValueError(f"unknown catalog lattice {name!r}")
@@ -534,6 +543,8 @@ def parse_lattice(obj) -> GramLattice:
             if lat.name is not None:
                 try:
                     expected = catalog_lattice(lat.name)
+                except CatalogRankError:
+                    raise
                 except ValueError:
                     expected = None  # a free-form label, not a catalog name
                 if expected is not None and expected.gram != lat.gram:

@@ -14,7 +14,7 @@ representative supplied alongside (``torsion_class``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from operator import mul
@@ -33,15 +33,26 @@ class SearchSpaceError(RuntimeError):
     """The divisibility search would enumerate more candidates than allowed."""
 
 
+MAX_CANDIDATES = 10**9  # kernel vectors the divisibility search may enumerate
+
+
+# Miller-Rabin with the primes up to 41 as bases is exact below _MR_LIMIT
+# (Jiang and Deng, 2014); a larger p is refused, not guessed at
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    if p >= _MR_LIMIT:
+        raise ValueError(f"p = {p} is too large for an exact primality test (limit {_MR_LIMIT})")
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in _MR_BASES
+    )
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,10 @@ class ChainConfiguration:
     def count(self) -> int:
         return len(self.chains)
 
+    def restrict(self, members: Sequence[int]) -> "ChainConfiguration":
+        """The chains ``members``, in that order, through the full constructor (Gram check too)."""
+        return replace(self, chains=tuple(self.chains[i] for i in members))
+
 
 @dataclass(frozen=True)
 class DivisibleSubsetWitness:
@@ -149,10 +164,7 @@ def weighted_chain_class(chain: Sequence[Sequence[int]], d: int) -> list[int]:
     return out
 
 
-def find_p_divisible_subsets(
-    cfg: ChainConfiguration,
-    max_candidates: int = 10**9,
-) -> list[DivisibleSubsetWitness]:
+def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWitness]:
     """All p-divisible weighted chain subsets, one witness per projective class.
 
     Coefficient vectors related by a global unit scaling mod p are the same
@@ -161,7 +173,7 @@ def find_p_divisible_subsets(
     projectively: each combination of the k kernel basis vectors whose first
     nonzero entry is 1 gives one class, (p^k - 1)/(p - 1) in all, so no class
     is met twice.  The kernel is tiny in every real configuration;
-    ``SearchSpaceError`` is raised if p^k - 1 would exceed ``max_candidates``.
+    ``SearchSpaceError`` is raised if p^k - 1 would exceed ``MAX_CANDIDATES``.
     Every witness is re-verified integrally; the kernel is taken on the same
     coordinates, so the re-check is an assertion that cannot fail.
     Torsion bits only count for p = 2: order-2 torsion is p-divisible for
@@ -178,9 +190,9 @@ def find_p_divisible_subsets(
     rows = [weighted_chain_class(chain, 1)[:n] for chain in cfg.chains]
     kernel = right_kernel_mod_p(transpose(rows), p)
     k = len(kernel)
-    if p**k - 1 > max_candidates:
+    if p**k - 1 > MAX_CANDIDATES:
         raise SearchSpaceError(
-            f"kernel enumeration needs {p**k - 1} candidates (> {max_candidates})"
+            f"kernel enumeration needs {p**k - 1} candidates (> {MAX_CANDIDATES})"
         )
 
     witnesses = []
@@ -206,11 +218,6 @@ def find_p_divisible_subsets(
             )
     witnesses.sort(key=lambda w: (len(w.subset), w.subset, w.coefficients))
     return witnesses
-
-
-def is_primitive_configuration(cfg: ChainConfiguration) -> bool:
-    """True when no nonempty weighted chain subset is p-divisible."""
-    return not find_p_divisible_subsets(cfg)
 
 
 def chain_span_glue(cfg: ChainConfiguration) -> AbelianInvariants:
@@ -284,7 +291,3 @@ def enriques_mod2_divisibility(
         return "divisible_as_KW"
     return "not_divisible"
 
-
-def symmetric_difference(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Symmetric difference of two index subsets, as a sorted tuple."""
-    return tuple(sorted(set(a) ^ set(b)))

@@ -172,6 +172,10 @@ def test_config_primitive_exit_codes(capsys, tmp_path):
     code, out, _ = run_capture(capsys, ["--json", "config", "divisible", "--config", str(path)])
     assert code == 0
     assert json.loads(out) == []
+    path.write_text(json.dumps({"ambient": "A2", "p": 10**18 + 3, "chains": []}))
+    code, out, _ = run_capture(capsys, ["--json", "config", "divisible", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out) == []
 
 
 def test_malformed_json_exit_2(capsys):
@@ -201,6 +205,14 @@ def test_malformed_json_exit_2(capsys):
           '{"lhs":[],"rhs":{},"p":5}'], "bad relation"),
         (["fibration", "relation", "--spec", MP108, "--relation",
           '{"lhs":{"A1":"1/0"},"rhs":{},"p":5}'], "bad relation"),
+        (["groups", "build", "--presentation", '{"gens":["a"],"rels":["a99999999999"]}'],
+         "bad presentation: word 'a99999999999'"),
+        (["lattice", "disc", "--lattice", '"A100000"'], "bad lattice: catalog lattice 'A100000'"),
+        (["lattice", "disc", "--lattice", '{"gram":[[-2]],"name":"A100000"}'], "rank 100000"),
+        (["geometry", "hyperplanes", "--p", "1000000000000000003", "--n", "1"],
+         "p = 1000000000000000003, n = 1"),
+        (["config", "divisible", "--config",
+          '{"ambient":"A2","p":%d,"chains":[]}' % (2**89 - 1)], "bad configuration: p = "),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -171,7 +171,7 @@ def test_relations_fail_under_unit_perturbations(rel_name):
 def test_relation_invariant_under_global_scaling(rel_name):
     rel = load_json(f"{rel_name}.json")
     spec = parse_fibration(load_json(rel["fibration"]))
-    for t in (2, -3):
+    for t in (2, -3, Fraction(1, 3)):
         lhs = {k: t * v for k, v in rel["lhs"].items()}
         rhs = {k: t * v for k, v in rel["rhs"].items()}
         assert verify_divisibility_relation(spec, lhs, rel["p"], rhs)

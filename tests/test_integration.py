@@ -1,5 +1,5 @@
-"""End-to-end pipelines: geometry/fibration models feed the divisibility
-search, whose output facts feed the classifier.
+"""End-to-end pipelines through ``k3lat.pipeline``: geometry/fibration models
+feed the divisibility search, whose witnesses give the facts that pick a row.
 
 The class lattice of a fibration (`elliptic.class_lattice`) is the formal
 intersection module modulo its radical; on the bundled extremal fibrations the
@@ -11,19 +11,20 @@ from itertools import combinations
 
 import pytest
 
-from k3lat.classifier import K3Input, k3_classify
+from k3lat.classifier import FactsError
 from k3lat.data import load_json
 from k3lat.elliptic import class_lattice, formal_gram, parse_fibration
 from k3lat.finite_geometry import (
     affine_hyperplanes,
     affine_space,
     ag23_lattice,
+    glue_overlattice,
     hyperplane_covering_search,
     kummer_lattice,
     line_complements,
 )
 from k3lat.lattice_core import bareiss_det
-from k3lat.root_config import ChainConfiguration, find_p_divisible_subsets
+from k3lat.pipeline import enriques_row, fibration_configuration, k3_row
 
 
 # (prime, determinant, chains, expected witnesses) per bundled fibration;
@@ -63,22 +64,40 @@ FIBRATION_CASES = {
 }
 
 
+# the Table 1 row each fibration's configuration selects
+FIBRATION_ROWS = {
+    "double_iv_star": 10,
+    "mp1": 18,
+    "mp108": 11,
+    "mp29": 16,
+    "mp30": 17,
+    "mp39": 9,
+    "mp64": 14,
+    "mp9": 15,
+}
+
+
 @pytest.mark.parametrize("name", sorted(FIBRATION_CASES))
 def test_fibration_chain_divisibility(name):
     p, det, chains, expected = FIBRATION_CASES[name]
     spec = parse_fibration(load_json(f"{name}.json"))
     lattice, images = class_lattice(spec)
-    assert lattice.rank == 20
-    assert bareiss_det(lattice.gram_rows()) == det
     gens, G = formal_gram(spec)
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
             assert lattice.dot(images[g], images[h]) == G[i][j], (g, h)
-    cfg = ChainConfiguration(
-        lattice, p, tuple(tuple(images[label] for label in ch) for ch in chains)
-    )
-    witnesses = find_p_divisible_subsets(cfg)
+    cfg = fibration_configuration(spec, p, chains)
+    assert cfg.ambient == lattice and cfg.ambient.rank == 20
+    assert bareiss_det(lattice.gram_rows()) == det
+    witnesses, _, row = k3_row(cfg)
     assert [(w.subset, w.coefficients) for w in witnesses] == expected
+    assert row.number == FIBRATION_ROWS[name]
+
+
+def test_fibration_configuration_names_an_unknown_label():
+    spec = parse_fibration(load_json("mp9.json"))
+    with pytest.raises(ValueError, match="'Z9'"):
+        fibration_configuration(spec, 5, [["A1", "A2", "A3", "Z9"]])
 
 
 def test_relation_witness_matches_relation_weights():
@@ -90,31 +109,6 @@ def test_relation_witness_matches_relation_weights():
     d = [lhs["A1"] % 5, lhs["A6"] % 5, lhs["B1"] % 5, lhs["B6"] % 5]
     unit = pow(d[0], -1, 5)
     assert tuple((x * unit) % 5 for x in d) == (1, 1, 2, 2)
-
-
-def derive_k3_facts(cfg, p, c):
-    """Turn the witness structure of a configuration into classifier facts."""
-    witnesses = find_p_divisible_subsets(cfg)
-    if p == 2 and c == 12:
-        eights = [set(w.subset) for w in witnesses if len(w.subset) == 8]
-        if len(eights) == 1:
-            return "one_H"
-        assert any(a | b == set(range(len(cfg.chains))) for a, b in combinations(eights, 2))
-        return "two_H"
-    if p == 3 and c == 8:
-        sixes = [set(w.subset) for w in witnesses if len(w.subset) == 6]
-        if len(sixes) == 1:
-            return "one_R"
-        assert any(a | b == set(range(len(cfg.chains))) for a, b in combinations(sixes, 2))
-        return "two_R"
-    return "nonprimitive" if witnesses else "primitive"
-
-
-def sub_config(cfg, members):
-    return ChainConfiguration(
-        cfg.ambient, cfg.p, tuple(cfg.chains[i] for i in members),
-        torsion_class=cfg.torsion_class,
-    )
 
 
 def test_sixteen_point_model_drives_the_even_rows():
@@ -134,9 +128,7 @@ def test_sixteen_point_model_drives_the_even_rows():
         (tuple(range(16)), 8, "Y = C^2"),
     ]
     for members, row_no, sing_y in cases:
-        c = len(members)
-        facts = derive_k3_facts(sub_config(cfg, members), 2, c)
-        row = k3_classify(K3Input(2, c, facts))
+        _, facts, row = k3_row(cfg.restrict(members))
         assert row.number == row_no, (members, facts, row.number)
         if sing_y is not None:
             assert row.sing_y == sing_y
@@ -155,55 +147,21 @@ def test_nine_point_model_drives_the_odd_rows():
         (tuple(range(9)), 13, "Y = C^2"),
     ]
     for members, row_no, sing_y in cases:
-        c = len(members)
-        facts = derive_k3_facts(sub_config(cfg, members), 3, c)
-        row = k3_classify(K3Input(3, c, facts))
+        _, facts, row = k3_row(cfg.restrict(members))
         assert row.number == row_no, (members, facts, row.number)
         if sing_y is not None:
             assert row.sing_y == sing_y
 
 
-def derive_enriques_facts(w12, labels):
-    """Quotient- and cover-side divisibility facts of a disjoint curve set,
-    read off the mod-2 congruence structure of the 12-curve model."""
-    from k3lat.root_config import enriques_mod2_divisibility
-
-    kw = w12["kw"]
-    curves = w12["curves"]
-    strict, canonical = [], []
-    for sub in combinations(labels, 4):
-        verdict = enriques_mod2_divisibility([curves[f"F{i}"] for i in sub], kw)
-        if verdict == "divisible_as_0":
-            strict.append(set(sub))
-        elif verdict == "divisible_as_KW":
-            canonical.append(set(sub))
-    c = len(labels)
-    if c <= 5:
-        w = "nonprimitive" if strict else "primitive"
-        cover = "nonprimitive" if strict or canonical else "primitive"
-        return w, cover
-    if c == 6:
-        if len(strict) == 1:
-            w = "one_K"
-        else:
-            assert len(strict) == 3
-            assert any(a | b == set(labels) for a, b in combinations(strict, 2))
-            w = "two_K"
-        cover = "one_H" if len(strict) + len(canonical) == 1 else "two_H"
-        return w, cover
-    assert c == 7
-    if len(strict) == 1:
-        w = "one_K"
-    else:
-        assert len(strict) == 3
-        covered = set().union(*strict)
-        w = "three_K" if covered == set(labels) else "two_K_plus_A1"
-    return w, "three_H"
+def test_two_words_that_do_not_cover_are_a_facts_error():
+    """At (2, 12) two 8-point words must cover the configuration; these two
+    cover only ten of the twelve chains."""
+    _, cfg = glue_overlattice(2, 12, [[1] * 8 + [0] * 4, [0, 0] + [1] * 8 + [0, 0]])
+    with pytest.raises(FactsError, match="2 8-point words on 12 chains"):
+        k3_row(cfg)
 
 
 def test_twelve_curve_model_drives_the_quotient_rows():
-    from k3lat.classifier import EnriquesInput, enriques_classify
-
     w12 = load_json("enriques_w12.json")
     cases = [
         ((2, 4, 6, 9), 2, "Z/2"),
@@ -216,8 +174,7 @@ def test_twelve_curve_model_drives_the_quotient_rows():
         ((4, 6, 8, 9, 10, 11, 12), 13, "Z/4x(Z/2)^2"),
     ]
     for labels, row_no, group in cases:
-        w, cover = derive_enriques_facts(w12, labels)
-        row = enriques_classify(EnriquesInput(2, len(labels), w=w, cover=cover))
+        w, cover, row = enriques_row(w12["curves"], w12["kw"], [f"F{i}" for i in labels])
         assert row.number == row_no, (labels, w, cover, row.number)
         assert row.pi1.name == group
 

@@ -18,16 +18,15 @@ from k3lat.lattice_core import (
     identity_matrix,
     primitive_closure,
 )
+from k3lat import root_config
 from k3lat.root_config import (
     ChainConfiguration,
     SearchSpaceError,
     chain_span_glue,
     enriques_mod2_divisibility,
     find_p_divisible_subsets,
-    is_primitive_configuration,
     odd_p_divisibility_by_finite_index,
     sublattice_index,
-    symmetric_difference,
     weighted_chain_class,
 )
 
@@ -65,7 +64,6 @@ def test_integral_basis_configuration_has_no_witnesses():
     for p, c in [(2, 5), (3, 3), (5, 4)]:
         cfg = make_unit_config(p, c)
         assert find_p_divisible_subsets(cfg) == []
-        assert is_primitive_configuration(cfg)
 
 
 def test_config_validation_rejects_bad_gram():
@@ -77,7 +75,7 @@ def test_config_validation_rejects_bad_gram():
 def test_single_a1_in_rank_one_model_is_primitive():
     amb = GramLattice(((-2,),))
     cfg = ChainConfiguration(amb, 2, (((1,),),))
-    assert is_primitive_configuration(cfg)
+    assert find_p_divisible_subsets(cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,6 @@ def test_kummer_witnesses_are_hyperplanes_and_full_set():
     assert supports == hyps | {tuple(range(16))}
     eight = [w for w in witnesses if len(w.subset) == 8]
     assert len(eight) == 30
-    assert not is_primitive_configuration(cfg)
     # each witness satisfies its identity exactly
     for w in witnesses:
         total = [0] * cfg.ambient.rank
@@ -180,6 +177,24 @@ def test_torsion_bit_still_counts_for_p2():
     expected = [w for w in find_p_divisible_subsets(cfg) if 0 not in w.subset]
     assert find_p_divisible_subsets(with_bit) == expected
     assert len(expected) == 15
+
+
+def test_restrict_equals_the_constructor():
+    _, cfg = kummer_lattice()
+    chains = tuple(
+        tuple(v + (int(i == 0),) for v in chain) for i, chain in enumerate(cfg.chains)
+    )
+    torsion = (0,) * cfg.ambient.rank + (1,)
+    with_bit = ChainConfiguration(cfg.ambient, 2, chains, torsion_class=torsion)
+    members = (5, 0, 9, 3)
+    sub = with_bit.restrict(members)
+    assert sub == ChainConfiguration(
+        cfg.ambient, 2, tuple(chains[i] for i in members), torsion_class=torsion
+    )
+    # the Gram check runs again: a parent whose chains were overwritten is refused
+    object.__setattr__(with_bit, "chains", chains[:1] * 2)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        with_bit.restrict((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +408,27 @@ def test_dot_matches_brute_force_oracle():
             lat.dot(v, w[: r - 1])
 
 
-def test_search_space_guard():
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 10**4) if root_config._is_prime(n)] == [
+        n for n in range(-3, 10**4) if trial(n)
+    ]
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, with a factor each
+    for n, factor in ((3215031751, 151), (3825123056546413051, 149491),
+                      (318665857834031151167461, 399165290221)):
+        assert n % factor == 0 and not root_config._is_prime(n)
+    assert root_config._is_prime(10**18 + 3) and root_config._is_prime(2**61 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        root_config._is_prime(2**89 - 1)
+
+
+def test_search_space_guard(monkeypatch):
     _, cfg = kummer_lattice()
+    monkeypatch.setattr(root_config, "MAX_CANDIDATES", 3)
     with pytest.raises(SearchSpaceError):
-        find_p_divisible_subsets(cfg, max_candidates=3)
+        find_p_divisible_subsets(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +478,3 @@ def test_enriques_mod2_basic():
     with pytest.raises(ValueError):
         enriques_mod2_divisibility([], kw)
 
-
-def test_symmetric_difference_helper():
-    assert symmetric_difference((1, 2, 3), (2, 4)) == (1, 3, 4)
