@@ -291,7 +291,7 @@ def _criterion_9():
                 assert elliptic.in_radical(spec, v) == multiple
 
     # glue group trivial <=> no divisibility witness, on random configurations
-    from .lattice_core import right_kernel_mod_p, transpose
+    from .lattice_core import left_kernel_mod_p
 
     def random_code(p, c):
         basis = []
@@ -310,7 +310,7 @@ def _criterion_9():
                 ):
                     continue
             cand = basis + [w]
-            if len(right_kernel_mod_p(transpose(cand), p)) > 0:
+            if len(left_kernel_mod_p(cand, p)) > 0:
                 continue
             basis = cand
         return basis

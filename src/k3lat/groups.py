@@ -209,6 +209,7 @@ def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> Fin
     order_letters = list(range(2 * k))
     start = graph.find(0)
     words: dict[int, list[int]] = {start: []}
+    parent: dict[int, tuple[int, int]] = {}  # d -> (c, letter) with words[d] = words[c] + [letter]
     bfs = [start]
     while bfs:
         nxt = []
@@ -217,17 +218,23 @@ def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> Fin
                 d = graph.step(c, letter)
                 if d not in words:
                     words[d] = words[c] + [letter]
+                    parent[d] = (c, letter)
                     nxt.append(d)
         bfs = nxt
     ordering = sorted(words, key=lambda c: (len(words[c]), words[c]))
     assert ordering[0] == start
     renum = {c: i for i, c in enumerate(ordering)}
 
-    n = len(live)
-    table = [[0] * n for _ in range(n)]
+    # c * d follows d's word from c: one step from c * (d's BFS parent),
+    # which comes earlier in the ordering because its word is shorter
+    assert len(ordering) == len(live)
+    table = []
     for c in ordering:
-        for d in ordering:
-            table[renum[c]][renum[d]] = renum[graph.follow(c, words[d])]
+        row = {start: c}
+        for d in ordering[1:]:
+            up, letter = parent[d]
+            row[d] = graph.step(row[up], letter)
+        table.append([renum[row[d]] for d in ordering])
     images = {g: renum[graph.step(start, i)] for i, g in enumerate(pres.generators)}
     return FiniteGroupTable(tuple(map(tuple, table)), generator_images=images)
 

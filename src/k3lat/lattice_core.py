@@ -2,9 +2,11 @@
 
 Everything here runs on plain Python integers (arbitrary precision, so
 intermediate blow-up in a Smith reduction can never wrap around).  All
-exact linear algebra over Z goes through one Smith reduction that also
-tracks the inverse of its column transform; `fractions.Fraction` appears
-only in the result of `solve_left`, whose solutions may be rational.
+exact linear algebra over Z goes through one Smith reduction.  It tracks
+the inverse of its column transform only for the readers of that inverse,
+`_smith_span` and `span_coordinates`; `smith_normal_form` and `solve_left`
+skip it.  `fractions.Fraction` appears only in the result of `solve_left`,
+whose solutions may be rational.
 Matrices are lists of lists of ints; the public domain types freeze their
 data into tuples and are safe to share between threads.
 """
@@ -36,6 +38,18 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 def transpose(M: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*M)]
+
+
+def _block_diagonal(grams: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
+    """The block-diagonal matrix with the given square blocks, built in one pass."""
+    n = sum(len(g) for g in grams)
+    out = []
+    before = 0
+    for g in grams:
+        after = n - before - len(g)
+        out.extend([0] * before + list(row) + [0] * after for row in g)
+        before += len(g)
+    return out
 
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
@@ -72,33 +86,32 @@ def bareiss_det(M: Sequence[Sequence[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def right_kernel_mod_p(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Basis of {x : A x = 0 over F_p}."""
-    m, n = len(A), (len(A[0]) if A else 0)
-    rows = [[a % p for a in row] for row in A]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_of_col[c] = r
-        r += 1
+def left_kernel_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Basis of {x : x rows = 0 over F_p}, the relations mod p among the rows.
+
+    Each row is reduced against the pivot rows before it while the
+    combination of input rows it has become is tracked; a row that reduces
+    to zero contributes that combination to the basis.  Pivot rows are kept
+    with pivot entry 1 and zeros at every earlier pivot column.
+    """
+    c = len(rows)
+    pivots: list[tuple[int, list[int], list[int]]] = []  # (column, row, combination)
     basis = []
-    free_cols = [c for c in range(n) if c not in piv_of_col]
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for c, pr in piv_of_col.items():
-            v[c] = (-rows[pr][fc]) % p
-        basis.append(v)
+    for i, row in enumerate(rows):
+        r = [a % p for a in row]
+        combo = [0] * c
+        combo[i] = 1
+        for col, prow, pcombo in pivots:
+            f = r[col]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, prow)]
+                combo = [(a - f * b) % p for a, b in zip(combo, pcombo)]
+        col = next((j for j, a in enumerate(r) if a), None)
+        if col is None:
+            basis.append(combo)
+            continue
+        inv = pow(r[col], -1, p)
+        pivots.append((col, [a * inv % p for a in r], [a * inv % p for a in combo]))
     return basis
 
 
@@ -116,12 +129,15 @@ def _balanced_quotient(a: int, b: int) -> int:
 
 
 def _smith(
-    M: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    M: Sequence[Sequence[int]], inverse: bool = False
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], Optional[list[list[int]]]]:
     """Return (D, P, Q, Q^-1) with D = P M Q; see `smith_normal_form`.
 
-    Every column operation on Q is mirrored by its inverse row operation on
-    Q^-1, so the inverse comes out exact without a second elimination.
+    Q^-1 is built only with ``inverse=True`` and is None otherwise; only
+    `_smith_span` and `span_coordinates` read it.  Every column operation on
+    Q is then mirrored by its inverse row operation on Q^-1, so the inverse
+    comes out exact without a second elimination.  The operations on D, P
+    and Q are the same either way.
     """
     A = copy_matrix(M)
     m = len(A)
@@ -132,7 +148,7 @@ def _smith(
         raise ValueError("ragged matrix")
     P = identity_matrix(m)
     Q = identity_matrix(n)
-    Qi = identity_matrix(n)
+    Qi = identity_matrix(n) if inverse else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
@@ -143,7 +159,8 @@ def _smith(
             row[i] -= q * row[j]
         for row in Q:
             row[i] -= q * row[j]
-        Qi[j] = [a + q * b for a, b in zip(Qi[j], Qi[i])]
+        if inverse:
+            Qi[j] = [a + q * b for a, b in zip(Qi[j], Qi[i])]
 
     def swap_rows(i, j):
         if i != j:
@@ -156,7 +173,8 @@ def _smith(
                 row[i], row[j] = row[j], row[i]
             for row in Q:
                 row[i], row[j] = row[j], row[i]
-            Qi[i], Qi[j] = Qi[j], Qi[i]
+            if inverse:
+                Qi[i], Qi[j] = Qi[j], Qi[i]
 
     def move_min_pivot(t) -> bool:
         # smallest |entry|, ties to the first in row-major order; a unit ends the scan
@@ -242,7 +260,7 @@ def _smith_span(gens: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int
     """
     if not gens:
         return [], []
-    D, _P, _Q, Qi = _smith(gens)
+    D, _P, _Q, Qi = _smith(gens, inverse=True)
     d = _diagonal(D)
     return d, Qi[: len(d)]
 
@@ -278,7 +296,7 @@ def span_coordinates(gens: Sequence[Sequence[int]]) -> tuple[list, list, list]:
     is an exact division with gens[j] = coords[j] basis, and combos = P[:r]
     writes basis[i] = combos[i] gens.
     """
-    D, P, Q, Qi = _smith(gens)
+    D, P, Q, Qi = _smith(gens, inverse=True)
     d = _diagonal(D)
     gq = mat_mul(gens, Q)
     assert all(x % di == 0 for row in gq for x, di in zip(row, d))
@@ -358,13 +376,22 @@ class GramLattice:
     def gram_image(self, v: Sequence[int]) -> list[int]:
         """The row vector v·G over the first ``rank`` entries of v.
 
-        G is symmetric, so entry j is the inner product of row j with v.
+        It is the sum of v_k times row k of G over the nonzero v_k, so a
+        sparse v (a root class, say) costs only its nonzero entries.
         Pairing the image with w is then one length-``rank`` inner product,
         ``sum(map(mul, image, w))``, which ignores entries of w past ``rank``.
         """
         if len(v) < self.rank:
             raise ValueError("vector shorter than the lattice rank")
-        return [sum(map(mul, row, v)) for row in self.gram]
+        image = None
+        for x, row in zip(v, self.gram):
+            if not x:
+                continue
+            if image is None:
+                image = [x * g for g in row]
+            else:
+                image = [a + x * g for a, g in zip(image, row)]
+        return image if image is not None else [0] * self.rank
 
     def dot(self, v: Sequence[int], w: Sequence[int]) -> int:
         """v·G·w over the first ``rank`` entries: the image of v paired with w."""
@@ -373,15 +400,8 @@ class GramLattice:
         return sum(map(mul, self.gram_image(v), w))
 
     def direct_sum(self, other: "GramLattice", name: Optional[str] = None) -> "GramLattice":
-        n, m = self.rank, other.rank
-        g = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                g[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                g[n + i][n + j] = other.gram[i][j]
-        return GramLattice(tuple(tuple(r) for r in g), name=name)
+        return GramLattice(_block_diagonal([self.gram, other.gram]), name=name)
+
 
 
 @dataclass(frozen=True)
@@ -486,7 +506,7 @@ MAX_CATALOG_RANK = 256  # a dense Gram matrix of this rank still takes about a s
 
 
 class CatalogRankError(ValueError):
-    """A catalog name whose lattice has rank above ``MAX_CATALOG_RANK``."""
+    """A catalog name or a sum whose lattice has rank above ``MAX_CATALOG_RANK``."""
 
 
 def catalog_lattice(name: str) -> GramLattice:
@@ -502,16 +522,10 @@ def catalog_lattice(name: str) -> GramLattice:
     if not isinstance(name, str):
         raise ValueError(f"lattice name must be a string, not {name!r}")
     name = name.strip()
-    if name == "K3":
-        u = GramLattice(tuple(map(tuple, _U_GRAM)))
-        e8 = GramLattice(tuple(map(tuple, _scaled(cartan_matrix("E", 8), -1))))
-        return GramLattice(
-            u.direct_sum(u).direct_sum(u).direct_sum(e8).direct_sum(e8).gram, name="K3"
-        )
-    if name == "ENRIQUES_FREE":
-        u = GramLattice(tuple(map(tuple, _U_GRAM)))
-        e8 = GramLattice(tuple(map(tuple, _scaled(cartan_matrix("E", 8), -1))))
-        return GramLattice(u.direct_sum(e8).gram, name="ENRIQUES_FREE")
+    if name in ("K3", "ENRIQUES_FREE"):
+        e8 = _scaled(cartan_matrix("E", 8), -1)
+        blocks = [_U_GRAM] * 3 + [e8] * 2 if name == "K3" else [_U_GRAM, e8]
+        return GramLattice(_block_diagonal(blocks), name=name)
 
     scale = None
     base = name
@@ -553,13 +567,22 @@ def parse_lattice(obj) -> GramLattice:
                     )
             return lat
         if "sum" in obj:
-            parts = [parse_lattice(p) for p in obj["sum"]]
+            items = obj["sum"]
+            parts, rank = [], 0
+            for i, item in enumerate(items):
+                parts.append(parse_lattice(item))
+                rank += parts[-1].rank
+                if rank > MAX_CATALOG_RANK:  # refused before the sum's Gram matrix is built
+                    raise CatalogRankError(
+                        f"'sum' of {len(items)} lattices has rank above {MAX_CATALOG_RANK} "
+                        f"(rank {rank} by part {i + 1})"
+                    )
             if not parts:
                 raise ValueError("'sum' needs at least one lattice")
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.direct_sum(p)
-            return GramLattice(out.gram, name=obj.get("name", " + ".join(str(s) for s in obj["sum"])))
+            return GramLattice(
+                _block_diagonal([p.gram for p in parts]),
+                name=obj.get("name", " + ".join(str(s) for s in items)),
+            )
         if "name" in obj:
             return catalog_lattice(obj["name"])
     raise ValueError("lattice must be a catalog name or an object with 'gram' or 'sum'")

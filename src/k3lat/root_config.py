@@ -24,8 +24,7 @@ from .lattice_core import (
     AbelianInvariants,
     GramLattice,
     _smith_span,
-    right_kernel_mod_p,
-    transpose,
+    left_kernel_mod_p,
 )
 
 
@@ -76,7 +75,7 @@ class ChainConfiguration:
         object.__setattr__(
             self,
             "chains",
-            tuple(tuple(tuple(int(x) for x in v) for v in chain) for chain in self.chains),
+            tuple(tuple(tuple(map(int, v)) for v in chain) for chain in self.chains),
         )
         if self.torsion_class is not None:
             object.__setattr__(self, "torsion_class", tuple(int(x) % 2 for x in self.torsion_class))
@@ -102,11 +101,11 @@ class ChainConfiguration:
     def _check_gram(self):
         """Every class pairs as an A_{p-1} block with its own chain and to 0 with the others.
 
-        Each class's Gram image is taken once (``GramLattice.gram_image``);
-        every pairing is then one inner product of an image with a class
-        vector over the first ``ambient.rank`` entries, so torsion bits are
-        not paired.  All pairs are checked, and the first failing one is
-        reported.
+        Each class's Gram image is taken once (``GramLattice.gram_image``,
+        a sum over the class's nonzero coordinates); every pairing is then
+        one inner product of an image with a class vector over the first
+        ``ambient.rank`` entries, so torsion bits are not paired.  All pairs
+        are checked, and the first failing one is reported.
         """
         images = [[self.ambient.gram_image(v) for v in chain] for chain in self.chains]
         for ci, chain in enumerate(self.chains):
@@ -159,8 +158,7 @@ def weighted_chain_class(chain: Sequence[Sequence[int]], d: int) -> list[int]:
         raise ValueError("weight d must satisfy 1 <= d <= p-1")
     out = [0] * n
     for k, v in enumerate(chain, start=1):
-        for i in range(n):
-            out[i] += d * k * v[i]
+        out = [o + d * k * x for o, x in zip(out, v)]
     return out
 
 
@@ -169,13 +167,16 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
 
     Coefficient vectors related by a global unit scaling mod p are the same
     divisibility datum; the representative returned has first coefficient 1.
-    The search enumerates the kernel of the mod-p coefficient map
-    projectively: each combination of the k kernel basis vectors whose first
-    nonzero entry is 1 gives one class, (p^k - 1)/(p - 1) in all, so no class
-    is met twice.  The kernel is tiny in every real configuration;
-    ``SearchSpaceError`` is raised if p^k - 1 would exceed ``MAX_CANDIDATES``.
-    Every witness is re-verified integrally; the kernel is taken on the same
-    coordinates, so the re-check is an assertion that cannot fail.
+    The kernel is taken on the weighted chain rows themselves: the
+    coefficient vectors x with x rows = 0 mod p (``left_kernel_mod_p``).
+    The search enumerates it projectively: each combination of the k kernel
+    basis vectors whose first nonzero entry is 1 gives one class,
+    (p^k - 1)/(p - 1) in all, so no class is met twice.  The kernel is tiny
+    in every real configuration; ``SearchSpaceError`` is raised if p^k - 1
+    would exceed ``MAX_CANDIDATES``.  Each witness total is sum d_i row_i
+    over the same rows and is re-verified integrally; the kernel is taken on
+    the same coordinates, so the re-check is an assertion that cannot fail.
+    Witnesses are sorted, so their order does not depend on the kernel basis.
     Torsion bits only count for p = 2: order-2 torsion is p-divisible for
     odd p, so there the search sees the free coordinates alone.
     """
@@ -188,7 +189,7 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
         raise ValueError("configuration rank exceeds the ambient rank")
 
     rows = [weighted_chain_class(chain, 1)[:n] for chain in cfg.chains]
-    kernel = right_kernel_mod_p(transpose(rows), p)
+    kernel = left_kernel_mod_p(rows, p)
     k = len(kernel)
     if p**k - 1 > MAX_CANDIDATES:
         raise SearchSpaceError(
@@ -198,22 +199,23 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
     witnesses = []
     for lead in range(k):
         for tail in product(range(p), repeat=k - lead - 1):
-            combo = list(zip((1, *tail), kernel[lead:]))
-            d = [sum(x * v[j] for x, v in combo) % p for j in range(c)]
+            d = kernel[lead]
+            for x, v in zip(tail, kernel[lead + 1 :]):
+                if x:
+                    d = [(a + x * b) % p for a, b in zip(d, v)]
             support = tuple(i for i in range(c) if d[i] != 0)
             unit = pow(d[support[0]], -1, p)  # first nonzero coefficient becomes 1
             d = [(x * unit) % p for x in d]
             total = [0] * n
             for i in support:
-                w = weighted_chain_class(cfg.chains[i], d[i])[:n]
-                for j in range(n):
-                    total[j] += w[j]
+                di = d[i]
+                total = [t + di * x for t, x in zip(total, rows[i])]
             assert all(x % p == 0 for x in total), "a kernel vector failed the integral check"
             witnesses.append(
                 DivisibleSubsetWitness(
                     subset=support,
                     coefficients=tuple(d[i] for i in support),
-                    quotient_class=tuple(total[j] // p for j in range(cfg.ambient.rank)),
+                    quotient_class=tuple(x // p for x in total[: cfg.ambient.rank]),
                 )
             )
     witnesses.sort(key=lambda w: (len(w.subset), w.subset, w.coefficients))

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from k3lat import elliptic, finite_geometry
 from k3lat.cli import run
 from k3lat.data import data_dir
 
@@ -27,6 +29,27 @@ def test_lemma13(capsys):
         {"p": 5, "c": 4, "cover": "K3"},
         {"p": 7, "c": 3, "cover": "K3"},
     ]
+
+
+@pytest.mark.parametrize(
+    "name", ["kummer_chain_span", "ag23_chain_span", "double_iv_star_formal_gram"]
+)
+def test_lattice_snf_transforms_are_pinned(capsys, name):
+    """`lattice snf --json` prints the pinned D, P and Q of three model matrices."""
+    pin = json.loads((Path(__file__).parent / "data" / "snf_pins.json").read_text())[name]
+    models = {"kummer_chain_span": finite_geometry.kummer_lattice,
+              "ag23_chain_span": finite_geometry.ag23_lattice}
+    if name in models:
+        cfg = models[name]()[1]
+        matrix = [list(v[: cfg.ambient.rank]) for chain in cfg.chains for v in chain]
+    else:
+        spec = elliptic.parse_fibration(json.loads((data_dir() / "double_iv_star.json").read_text()))
+        matrix = [list(row) for row in elliptic.formal_gram(spec)[1]]
+    assert matrix == pin["matrix"]
+    code, out, _ = run_capture(capsys, ["--json", "lattice", "snf", "--matrix", json.dumps(matrix)])
+    assert code == 0
+    got = json.loads(out)
+    assert (got["D"], got["P"], got["Q"]) == (pin["D"], pin["P"], pin["Q"])
 
 
 def test_lattice_snf_and_disc(capsys):
@@ -213,6 +236,8 @@ def test_malformed_json_exit_2(capsys):
          "p = 1000000000000000003, n = 1"),
         (["config", "divisible", "--config",
           '{"ambient":"A2","p":%d,"chains":[]}' % (2**89 - 1)], "bad configuration: p = "),
+        (["lattice", "disc", "--lattice", json.dumps({"sum": ["E8"] * 2000})],
+         "bad lattice: 'sum' of 2000 lattices has rank above 256"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
 from k3lat.lattice_core import (
     AbelianInvariants,
+    CatalogRankError,
     DegenerateLatticeError,
     EmbeddedSublattice,
     GramLattice,
@@ -17,6 +18,7 @@ from k3lat.lattice_core import (
     identity_matrix,
     is_p_divisible_class,
     lattice_row_basis,
+    left_kernel_mod_p,
     mat_mul,
     parse_lattice,
     primitive_closure,
@@ -46,7 +48,7 @@ def minor_gcd_diagonal(M):
 
 
 def snf_diag(M):
-    D, P, Q, Qinv = _smith(M)
+    D, P, Q, Qinv = _smith(M, inverse=True)
     assert smith_normal_form(M) == (D, P, Q)
     assert mat_mul(mat_mul(P, M), Q) == D
     assert abs(bareiss_det(P)) == 1
@@ -103,6 +105,43 @@ def test_snf_handles_larger_entries_and_sizes():
         n = rng.randint(8, 14)
         M = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         snf_diag(M)
+
+
+def test_left_kernel_mod_p_matches_brute_force():
+    """Dimension, membership and independence against all of F_p^c."""
+    rng = random.Random(23)
+    for trial in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        c = rng.randint(1, {2: 7, 3: 5, 5: 4, 7: 3}[p])
+        n = rng.randint(1, 5)
+        rows = []
+        for _ in range(c):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([0] * n)
+            elif kind < 0.4 and rows:  # dependent on the rows so far
+                a, b = rng.choice(rows), rng.choice(rows)
+                x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+                rows.append([x * u + y * v for u, v in zip(a, b)])
+            else:
+                rows.append([rng.randint(-9, 9) for _ in range(n)])
+        if p == 2 and trial % 2:  # torsion-bit columns
+            rows = [row + [rng.randrange(2) for _ in range(2)] for row in rows]
+        basis = left_kernel_mod_p(rows, p)
+
+        def in_kernel(x):
+            return all(sum(xi * r[j] for xi, r in zip(x, rows)) % p == 0 for j in range(len(rows[0])))
+
+        kernel = [x for x in product(range(p), repeat=c) if in_kernel(x)]
+        assert len(kernel) == p ** len(basis)
+        for v in basis:
+            assert len(v) == c and all(0 <= x < p for x in v) and in_kernel(v)
+        span = {
+            tuple(sum(a * v[i] for a, v in zip(coeffs, basis)) % p for i in range(c))
+            for coeffs in product(range(p), repeat=len(basis))
+        }
+        assert len(span) == len(kernel)  # independent: p^k distinct combinations
+    assert left_kernel_mod_p([], 3) == []
 
 
 def test_full_rank22_catalog_discriminants():
@@ -181,6 +220,11 @@ def test_parse_lattice_forms():
         parse_lattice({"basis": []})
     with pytest.raises(ValueError):
         parse_lattice("Q17")
+    # a sum is bounded like one catalog name: rank 256 passes, 264 does not
+    assert parse_lattice({"sum": ["E8"] * 32}).gram == catalog_lattice("E8").direct_sum(
+        parse_lattice({"sum": ["E8"] * 31})).gram
+    with pytest.raises(CatalogRankError):
+        parse_lattice({"sum": [{"sum": ["E8"] * 16}, {"sum": ["E8"] * 17}]})
 
 
 # ---------------------------------------------------------------------------

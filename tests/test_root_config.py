@@ -217,11 +217,11 @@ def random_self_orthogonal_code(rng, p, c):
                 continue
             if any(sum(a * b for a, b in zip(w, v)) % p for v in basis):
                 continue
-        from k3lat.lattice_core import right_kernel_mod_p, transpose
+        from k3lat.lattice_core import left_kernel_mod_p
 
         cand = basis + [w]
         # keep only independent generators
-        if len(right_kernel_mod_p(transpose(cand), p)) > 0:
+        if len(left_kernel_mod_p(cand, p)) > 0:
             continue
         basis = cand
     return basis
