@@ -56,13 +56,13 @@ def parse_word(word: str, generators: Sequence[str]) -> list[int]:
             raise ValueError(f"unknown generator letter {ch!r} in word {word!r}")
         letter = pos[ch.lower()] + (k if ch.isupper() else 0)
         i += 1
-        count = 0
+        start, count = i, 0
         while i < len(word) and word[i].isdigit():
             count = 10 * count + int(word[i])
             i += 1
             if len(letters) + count > MAX_WORD_LENGTH:
                 raise ValueError(f"word {word!r} expands past {MAX_WORD_LENGTH} letters")
-        letters.extend([letter] * max(count, 1))
+        letters.extend([letter] * (count if i > start else 1))  # "a0" is the empty word
     return letters
 
 
@@ -165,11 +165,13 @@ class FiniteGroupTable:
         for i in range(n):
             if not any(self.table[i][j] == 0 for j in range(n)):
                 raise ValueError(f"element {i} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
+        # Light's test: the g with (a b) g = a (b g) for all a, b are closed under
+        # products, so checking a generating set checks every triple
+        for g in _generating_set(self):
+            for a in range(n):
+                row = self.table[a]
+                for b in range(n):
+                    if self.table[row[b]][g] != row[self.table[b][g]]:
                         raise ValueError("multiplication table is not associative")
 
     @property

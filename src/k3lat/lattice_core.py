@@ -2,10 +2,9 @@
 
 Everything here runs on plain Python integers (arbitrary precision, so
 intermediate blow-up in a Smith reduction can never wrap around).  All
-exact linear algebra over Z goes through one Smith reduction.  It tracks
-the inverse of its column transform only for the readers of that inverse,
-`_smith_span` and `span_coordinates`; `smith_normal_form` and `solve_left`
-skip it.  `fractions.Fraction` appears only in the result of `solve_left`,
+exact linear algebra over Z goes through one Smith reduction, which logs
+its row and column operations; each reader replays only the transforms it
+reads.  `fractions.Fraction` appears only in the result of `solve_left`,
 whose solutions may be rational.
 Matrices are lists of lists of ints; the public domain types freeze their
 data into tuples and are safe to share between threads.
@@ -16,8 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class DegenerateLatticeError(ValueError):
@@ -128,16 +128,13 @@ def _balanced_quotient(a: int, b: int) -> int:
     return q
 
 
-def _smith(
-    M: Sequence[Sequence[int]], inverse: bool = False
-) -> tuple[list[list[int]], list[list[int]], list[list[int]], Optional[list[list[int]]]]:
-    """Return (D, P, Q, Q^-1) with D = P M Q; see `smith_normal_form`.
+def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], list[tuple]]:
+    """Return (D, rows, cols): the Smith form D = P M Q and the logs of the row
+    and column operations, replayed on I into P and Q; see `smith_normal_form`.
 
-    Q^-1 is built only with ``inverse=True`` and is None otherwise; only
-    `_smith_span` and `span_coordinates` read it.  Every column operation on
-    Q is then mirrored by its inverse row operation on Q^-1, so the inverse
-    comes out exact without a second elimination.  The operations on D, P
-    and Q are the same either way.
+    Log entry (i, j, q) means line i -= q * line j and (i, j, None) swaps them;
+    the sign fix of pivot t is (t, t, 2).  Since P M = D Q^-1, the first r rows
+    of P M are d_i times rows of Q^-1, a basis of the span of M; the rest vanish.
     """
     A = copy_matrix(M)
     m = len(A)
@@ -146,35 +143,16 @@ def _smith(
     n = len(A[0])
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    P = identity_matrix(m)
-    Q = identity_matrix(n)
-    Qi = identity_matrix(n) if inverse else None
+    rows, cols = [], []  # the elimination updates A alone and logs each operation
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        P[i] = [a - q * b for a, b in zip(P[i], P[j])]
+        rows.append((i, j, q))
 
-    def col_op(i, j, q):  # col_i -= q * col_j; on Q^-1, row_j += q * row_i
+    def col_op(i, j, q):  # col_i -= q * col_j
         for row in A:
             row[i] -= q * row[j]
-        for row in Q:
-            row[i] -= q * row[j]
-        if inverse:
-            Qi[j] = [a + q * b for a, b in zip(Qi[j], Qi[i])]
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            P[i], P[j] = P[j], P[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in Q:
-                row[i], row[j] = row[j], row[i]
-            if inverse:
-                Qi[i], Qi[j] = Qi[j], Qi[i]
+        cols.append((i, j, q))
 
     def move_min_pivot(t) -> bool:
         # smallest |entry|, ties to the first in row-major order; a unit ends the scan
@@ -191,8 +169,14 @@ def _smith(
                 break
         if best is None:
             return False
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        if i != t:
+            A[t], A[i] = A[i], A[t]
+            rows.append((t, i, None))
+        if j != t:
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            cols.append((t, j, None))
         return True
 
     t = 0
@@ -224,11 +208,32 @@ def _smith(
             move_min_pivot(t)
 
         if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            P[t] = [-a for a in P[t]]
+            row_op(t, t, 2)
         t += 1
 
-    return A, P, Q, Qi
+    return A, rows, cols
+
+
+def _replay_rows(log: Iterable[tuple], M: list[list[int]]) -> list[list[int]]:
+    """Apply the logged row operations, in order, to the rows of M (in place)."""
+    for i, j, q in log:
+        if q is None:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [a - q * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def _replay_cols(log: Iterable[tuple], M: list[list[int]]) -> list[list[int]]:
+    """Apply the logged column operations, in order, to the columns of M (in place)."""
+    for i, j, q in log:
+        if q is None:
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+        else:
+            for row in M:
+                row[i] -= q * row[j]
+    return M
 
 
 def smith_normal_form(
@@ -241,7 +246,9 @@ def smith_normal_form(
     on the entry of smallest absolute value, which keeps intermediate
     entries from exploding.
     """
-    D, P, Q, _ = _smith(M)
+    D, rows, cols = _smith(M)
+    P = _replay_rows(rows, identity_matrix(len(D)))
+    Q = _replay_cols(cols, identity_matrix(len(D[0])))
     return D, P, Q
 
 
@@ -250,19 +257,9 @@ def _diagonal(D: list[list[int]]) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0]
 
 
-def _smith_span(gens: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """(d, U) for the lattice spanned by the rows of gens.
-
-    d holds the nonzero invariant factors d_1 | ... | d_r and U the first r
-    rows of Q^-1.  The rows d_i * U[i] form a basis of the span and the rows
-    of U a basis of its saturation, whose quotient by the span is the sum
-    of the Z/d_i.
-    """
-    if not gens:
-        return [], []
-    D, _P, _Q, Qi = _smith(gens, inverse=True)
-    d = _diagonal(D)
-    return d, Qi[: len(d)]
+def invariant_factors(M: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero invariant factors d_1 | ... | d_r of M ([] for no rows); no log is replayed."""
+    return _diagonal(_smith(M)[0]) if M else []
 
 
 def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list[Fraction]]:
@@ -271,38 +268,43 @@ def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list[Fr
     With D = P B Q the system reads y D = target Q for y = x P^-1, which is
     solvable iff (target Q)_j = 0 beyond the rank, and then y_i =
     (target Q)_i / d_i.  Over a common denominator only integers are used.
+    For x = y P the row log, read backwards, acts on y as y_j -= q y_i.
     """
-    D, P, Q, _ = _smith(B)
+    D, rows, cols = _smith(B)
     d = _diagonal(D)
-    tq = vec_mat(target, Q)
+    tq = _replay_cols(cols, [list(target)])[0]
     if any(tq[len(d):]):
         return None
     den = d[-1] if d else 1  # every d_i divides the last one
     y = [tq[i] * (den // d[i]) for i in range(len(d))] + [0] * (len(B) - len(d))
-    return [Fraction(v, den) for v in vec_mat(y, P)]
+    x = _replay_cols(((j, i, q) for i, j, q in reversed(rows)), [y])[0]
+    return [Fraction(v, den) for v in x]
 
 
 def lattice_row_basis(gens: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis for the lattice generated by the given (possibly dependent) rows."""
-    d, U = _smith_span(gens)
-    return [[di * x for x in row] for di, row in zip(d, U)]
+    """Basis for the lattice generated by the given (possibly dependent) rows:
+    the first r rows of P gens."""
+    if not gens:
+        return []
+    D, rows, _ = _smith(gens)
+    return _replay_rows(rows, copy_matrix(gens))[: len(_diagonal(D))]
 
 
 def span_coordinates(gens: Sequence[Sequence[int]]) -> tuple[list, list, list]:
     """(basis, coords, combos) for the lattice spanned by the rows of gens.
 
-    One Smith form D = P gens Q gives all three: basis[i] = d_i Q^-1[i] is
-    the basis `lattice_row_basis` returns, coords[j][i] = (gens Q)[j][i] / d_i
-    is an exact division with gens[j] = coords[j] basis, and combos = P[:r]
-    writes basis[i] = combos[i] gens.
+    One Smith form D = P gens Q gives all three: the first r rows of
+    P [gens | I] are [basis | combos], with basis[i] = combos[i] gens, and
+    coords[j][i] = (gens Q)[j][i] / d_i is exact, with gens[j] = coords[j] basis.
     """
-    D, P, Q, Qi = _smith(gens, inverse=True)
+    D, rows, cols = _smith(gens)
     d = _diagonal(D)
-    gq = mat_mul(gens, Q)
+    n = len(D[0])
+    pg = _replay_rows(rows, [list(g) + e for g, e in zip(gens, identity_matrix(len(D)))])[: len(d)]
+    gq = _replay_cols(cols, copy_matrix(gens))
     assert all(x % di == 0 for row in gq for x, di in zip(row, d))
     coords = [[x // di for x, di in zip(row, d)] for row in gq]
-    basis = [[di * x for x in row] for di, row in zip(d, Qi)]
-    return basis, coords, P[: len(d)]
+    return [row[:n] for row in pg], coords, [row[n:] for row in pg]
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +327,7 @@ class AbelianInvariants:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return prod(self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -403,7 +402,6 @@ class GramLattice:
         return GramLattice(_block_diagonal([self.gram, other.gram]), name=name)
 
 
-
 @dataclass(frozen=True)
 class EmbeddedSublattice:
     """Vectors spanning a sublattice of the ambient coordinate lattice Z^rank.
@@ -430,20 +428,22 @@ def discriminant_group(L: GramLattice) -> AbelianInvariants:
     """Invariant factors of L*/L, read off the Smith form of the Gram matrix."""
     if L.det() == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    d, _ = _smith_span(L.gram_rows())
-    return AbelianInvariants(tuple(x for x in d if x > 1))
+    return AbelianInvariants(tuple(x for x in invariant_factors(L.gram_rows()) if x > 1))
 
 
 def primitive_closure(S: EmbeddedSublattice) -> tuple[list[list[int]], AbelianInvariants]:
     """Saturation of the sublattice spanned by S inside the ambient Z^rank.
 
     Returns (closure_basis, glue) where glue is the quotient closure/S;
-    a trivial glue group means S was already primitive.
+    a trivial glue group means S was already primitive.  Span basis row i
+    is d_i times a row of the unimodular Q^-1, so d_i is the gcd of its row.
     """
     if S.ambient.det() == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    d, U = _smith_span([list(v) for v in S.basis])
-    return U, AbelianInvariants(tuple(x for x in d if x > 1))
+    span = lattice_row_basis(S.basis)
+    d = [gcd(*row) for row in span]
+    glue = AbelianInvariants(tuple(x for x in d if x > 1))
+    return [[x // di for x in row] for di, row in zip(d, span)], glue
 
 
 def is_p_divisible_class(v: Sequence[int], L: GramLattice, p: int) -> Optional[list[int]]:

@@ -23,7 +23,7 @@ from typing import Literal, Optional, Sequence
 from .lattice_core import (
     AbelianInvariants,
     GramLattice,
-    _smith_span,
+    invariant_factors,
     left_kernel_mod_p,
 )
 
@@ -224,7 +224,7 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
 
 def chain_span_glue(cfg: ChainConfiguration) -> AbelianInvariants:
     """Invariant factors of (primitive closure / span) for the full chain span."""
-    d, _ = _smith_span([list(v[: cfg.ambient.rank]) for chain in cfg.chains for v in chain])
+    d = invariant_factors([list(v[: cfg.ambient.rank]) for chain in cfg.chains for v in chain])
     return AbelianInvariants(tuple(x for x in d if x > 1))
 
 
@@ -265,7 +265,7 @@ def odd_p_divisibility_by_finite_index(
 
 def sublattice_index(N_basis: Sequence[Sequence[int]], ambient: GramLattice) -> int:
     """Index of the full-rank sublattice spanned by N_basis inside Z^rank."""
-    d, _ = _smith_span([list(v) for v in N_basis])
+    d = invariant_factors([list(v) for v in N_basis])
     if len(d) != ambient.rank:
         raise ValueError("sublattice does not have finite index in the ambient lattice")
     return prod(d)

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat import elliptic, finite_geometry
 from k3lat.cli import run
@@ -238,6 +242,8 @@ def test_malformed_json_exit_2(capsys):
           '{"ambient":"A2","p":%d,"chains":[]}' % (2**89 - 1)], "bad configuration: p = "),
         (["lattice", "disc", "--lattice", json.dumps({"sum": ["E8"] * 2000})],
          "bad lattice: 'sum' of 2000 lattices has rank above 256"),
+        (["groups", "build", "--presentation", '{"gens":["a"],"rels":["a0"]}'],
+         "possibly infinite or bound too small"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):
@@ -303,3 +309,90 @@ def test_data_dir_env_override(capsys, tmp_path, monkeypatch):
     code, out, _ = run_capture(capsys, ["--json", "table", "1"])
     assert code == 0
     assert json.loads(out) == []
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every JSON-taking option
+
+_WORDS = ["A2", "A4", "E8", "U", "U(2)", "K3", "D4(-1)", "a", "b", "a3", "aB2", "abab", "In",
+          "IV*", "I0*", "P0", "P1", "A1", "S0", "S", "1/2", "1/0", "-3/4", ""]
+_KEYS = ["gram", "sum", "name", "ambient", "p", "chains", "kw_mod2", "gens", "rels", "lhs",
+         "rhs", "fibres", "zero_section", "sections", "id", "type", "n", "labels", "meets",
+         "dot_zero", "dots", "mw_order", "chi"]
+_SCALARS = (st.integers(-3, 30) | st.sampled_from(_WORDS) | st.integers() | st.text(max_size=3)
+            | st.sampled_from([None, True, False]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), kids, max_size=4),
+    max_leaves=12,
+)
+_SEEDS = {
+    "matrix": [[2, 4, 4], [-6, 6, 12]],
+    "lattice": {"sum": ["A2", {"gram": [[2, 1], [1, 2]]}]},
+    "basis": [[1, 0, 1, 0], [0, 2, 0, 0]],
+    "config": {"ambient": {"gram": [[-2, 0], [0, -2]]}, "p": 2, "chains": [[[1, 0]], [[0, 1]]],
+               "kw_mod2": [1, 0]},
+    "spec": json.loads((data_dir() / "mp9.json").read_text()),
+    "relation": json.loads((data_dir() / "mp9_relation.json").read_text()),
+    "presentation": {"gens": ["a", "b"], "rels": ["a3", "b2", "abab"]},
+}
+_COMMANDS = [
+    ["lattice", "snf", "--matrix"],
+    ["lattice", "disc", "--lattice"],
+    ["lattice", "closure", "--lattice", "--basis"],
+    ["config", "divisible", "--config"],
+    ["config", "primitive", "--config"],
+    ["fibration", "validate", "--spec"],
+    ["fibration", "height", "--section", "P1", "--spec"],
+    ["fibration", "relation", "--spec", "--relation"],
+    ["groups", "build", "--bound", "50", "--presentation"],
+]
+
+
+def _mutate(value, draw, rng):
+    """value with one node, reached by a random walk from the root, replaced or dropped."""
+    if not isinstance(value, (list, dict)) or not value or rng.random() < 0.1:
+        if isinstance(value, int) and rng.random() < 0.5:  # keep the type, to get further in
+            return draw(st.integers(-3, 30) | st.integers())
+        return draw(_SCALARS if rng.random() < 0.5 else _JSON)
+    key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+    out = dict(value) if isinstance(value, dict) else list(value)
+    if rng.random() < 0.15:
+        del out[key]
+    else:
+        out[key] = _mutate(value[key], draw, rng)
+    return out
+
+
+def _fuzzed_json(option, draw, rng) -> str:
+    """A generated document (one time in five) or a seed with one or two mutations."""
+    if rng.random() < 0.2:
+        value = draw(_JSON)
+    else:
+        value = _SEEDS[option]
+        for _ in range(rng.randint(1, 2)):
+            value = _mutate(value, draw, rng)
+    text = json.dumps(value)
+    return text[: rng.randint(0, len(text))] if rng.random() < 0.1 else text
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.data())
+def test_fuzzed_json_options_exit_0_1_or_2(data):
+    """Generated and mutated JSON for every JSON-taking option: the exit code is
+    0, 1 or 2, nothing escapes `run` and no traceback is printed."""
+    draw = data.draw
+    rng = draw(st.randoms(use_true_random=True))
+    argv = ["--json"] if rng.random() < 0.5 else []
+    for token in rng.choice(_COMMANDS):
+        argv.append(token)
+        if token[2:] in _SEEDS:
+            argv.append(_fuzzed_json(token[2:], draw, rng))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == "", argv

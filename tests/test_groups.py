@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -29,6 +30,10 @@ def test_parse_word():
     assert parse_word("acBA3C", "abc") == [0, 2, 4, 3, 3, 3, 5]
     with pytest.raises(ValueError):
         parse_word("ax", "ab")
+    # a zero power is the empty word; a letter without digits is a first power
+    assert parse_word("a0", "a") == []
+    assert parse_word("a0bA00", "ab") == [1]
+    assert parse_word("a10", "a") == [0] * 10
 
 
 def test_presentation_orders():
@@ -52,12 +57,16 @@ def test_presentation_orders_beyond_catalog():
     assert q8.order == 8
     assert count_normal_subgroups(q8, 2) == 3
     assert count_normal_subgroups_isomorphic_to(q8, catalog_group("(Z/2)^2")) == 0
+    c500 = group_from_presentation(GroupPresentation(("a",), ("a500",)))
+    assert c500.order == 500 and c500.element_order(c500.generator_images["a"]) == 500
 
 
 def test_enumeration_bound():
     free = GroupPresentation(("a", "b"), ())
     with pytest.raises(EnumerationBound):
         group_from_presentation(free, bound=50)
+    with pytest.raises(EnumerationBound):  # a zero power is the empty word
+        group_from_presentation(GroupPresentation(("a",), ("a0",)), bound=50)
 
 
 def test_catalog_abelian_groups_match_direct_construction():
@@ -94,6 +103,39 @@ def test_is_isomorphic_basics():
     assert not is_isomorphic(catalog_group("D8"), catalog_group("(Z/2)^3"))
     assert not is_isomorphic(catalog_group("Z/10"), catalog_group("D10"))
     assert is_isomorphic(catalog_group("Z/6"), abelian_group_table(AbelianInvariants((6,))))
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square over 0..n-1 whose first row and column are 0..n-1."""
+    out = []
+
+    def extend(rows):
+        if len(rows) == n:
+            out.append(tuple(rows))
+            return
+        for perm in permutations(range(n)):
+            if perm[0] == len(rows) and all(perm[j] != r[j] for r in rows for j in range(n)):
+                extend(rows + [perm])
+
+    extend([tuple(range(n))])
+    return out
+
+
+def test_associativity_check_matches_every_triple():
+    """Each of the 56 order-5 loops passes the identity and inverse checks; exactly
+    those whose n^3 triples all associate are accepted, the others are rejected."""
+    squares = reduced_latin_squares(5)
+    accepted = 0
+    for t in squares:
+        associative = all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(range(5), repeat=3))
+        try:
+            FiniteGroupTable(t)
+        except ValueError as e:
+            assert not associative and str(e) == "multiplication table is not associative"
+        else:
+            assert associative
+            accepted += 1
+    assert (len(squares), accepted) == (56, 6)  # the labellings of Z/5 with identity 0
 
 
 def test_group_tables_are_hashable():

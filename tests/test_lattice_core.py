@@ -1,10 +1,14 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from k3lat import elliptic, finite_geometry
+from k3lat.data import data_dir
 from k3lat.lattice_core import (
     AbelianInvariants,
     CatalogRankError,
@@ -15,7 +19,6 @@ from k3lat.lattice_core import (
     bareiss_det,
     catalog_lattice,
     discriminant_group,
-    identity_matrix,
     is_p_divisible_class,
     lattice_row_basis,
     left_kernel_mod_p,
@@ -48,12 +51,11 @@ def minor_gcd_diagonal(M):
 
 
 def snf_diag(M):
-    D, P, Q, Qinv = _smith(M, inverse=True)
-    assert smith_normal_form(M) == (D, P, Q)
+    D, P, Q = smith_normal_form(M)
+    assert _smith(M)[0] == D
     assert mat_mul(mat_mul(P, M), Q) == D
     assert abs(bareiss_det(P)) == 1
     assert abs(bareiss_det(Q)) == 1
-    assert mat_mul(Q, Qinv) == identity_matrix(len(Q))
     diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
     nz = [d for d in diag if d != 0]
     assert diag == nz + [0] * (len(diag) - len(nz))
@@ -321,6 +323,23 @@ def test_lattice_row_basis_spans_same_lattice():
                 assert c == x
             else:
                 assert all(v == 0 for v in g) and c == []
+
+
+def test_span_readers_are_pinned():
+    """The closure of the Kummer chain span and the span coordinates of a formal Gram, as literals."""
+    pins = json.loads((Path(__file__).parent / "data" / "span_pins.json").read_text())
+    lattice, cfg = finite_geometry.kummer_lattice()
+    pin = pins["kummer_chain_closure"]
+    span = [list(v) for chain in cfg.chains for v in chain]
+    assert span == pin["basis"]
+    closure, glue = primitive_closure(EmbeddedSublattice(lattice, tuple(map(tuple, span))))
+    assert (closure, list(glue.factors)) == (pin["closure"], pin["glue"])
+    spec = elliptic.parse_fibration(json.loads((data_dir() / "double_iv_star.json").read_text()))
+    gram = [list(row) for row in elliptic.formal_gram(spec)[1]]
+    pin = pins["double_iv_star_span_coordinates"]
+    assert gram == pin["gens"]
+    basis, coords, combos = span_coordinates(gram)
+    assert (basis, coords, combos) == (pin["basis"], pin["coords"], pin["combos"])
 
 
 # ---------------------------------------------------------------------------
