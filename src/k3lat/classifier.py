@@ -19,8 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .data import load_json
-from .groups import ExtensionConstraint, catalog_group, filter_extensions
-from .lattice_core import AbelianInvariants
+from .groups import ExtensionConstraint, abelianization_invariants, catalog_group, filter_extensions
 
 
 class FactsError(ValueError):
@@ -28,16 +27,6 @@ class FactsError(ValueError):
 
 
 _K3_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-
-_KERNEL_INVARIANTS = {
-    "1": (),
-    "Z/2": (2,),
-    "(Z/2)^2": (2, 2),
-    "(Z/2)^3": (2, 2, 2),
-    "Z/3": (3,),
-    "(Z/3)^2": (3, 3),
-    "Z/5": (5,),
-}
 
 _W_TEXT = {
     "primitive": "the configuration on the quotient surface is primitive",
@@ -260,7 +249,7 @@ def _derive_enriques_group(row: dict, p: int, c: int) -> None:
             f"internal: cover classification gave {k3row.pi1.display()}, "
             f"table stores kernel {kernel_name}"
         )
-    kernel = AbelianInvariants(_KERNEL_INVARIANTS[kernel_name])
+    kernel = abelianization_invariants(catalog_group(kernel_name))
     from .groups import CATALOG_ORDER
 
     candidates = [

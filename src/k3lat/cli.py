@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import acceptance, classifier, elliptic, finite_geometry, lattice_core, root_config
 from .groups import (
+    MAX_COSET_BOUND,
     EnumerationBound,
     GroupPresentation,
     catalog_group,
@@ -266,6 +267,8 @@ def _cmd_groups(args):
             table = _group_arg(args.group)
         elif not args.presentation:
             raise CliError("--group or --presentation is required")
+        elif args.bound > MAX_COSET_BOUND:
+            raise CliError(f"--bound {args.bound} is above {MAX_COSET_BOUND} cosets")
         else:
             obj = _load_json_arg(_require(args, "presentation"))
             try:
@@ -416,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("op", choices=["build", "normal-count", "iso"])
     grp.add_argument("--group", help="catalog group name")
     grp.add_argument("--presentation", help='{"gens": [...], "rels": [...]} (JSON or file)')
-    grp.add_argument("--bound", type=int, default=10_000, help="coset enumeration bound")
+    grp.add_argument("--bound", type=int, default=10_000,
+                     help=f"coset enumeration bound, at most {MAX_COSET_BOUND}")
     grp.add_argument("--index", type=int, help="subgroup index for normal-count")
     grp.add_argument("--other", help="second group for iso")
     grp.set_defaults(func=_cmd_groups)

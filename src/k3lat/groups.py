@@ -7,7 +7,8 @@ use one lowercase letter per generator, a capital letter for its inverse,
 and a trailing integer for a power ("a4" = aaaa, "acBA3C" = a c b' a'a'a' c').
 
 Subgroup enumeration is exhaustive closure of element subsets; everything
-here targets orders <= 36, where brute force is exact and immediate.
+here targets orders <= 36, where brute force is exact and immediate.  The
+invariants of G/[G,G] are read off the Smith form of one relation matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from .lattice_core import AbelianInvariants
+from .lattice_core import AbelianInvariants, invariant_factors
 
 
 class EnumerationBound(RuntimeError):
@@ -39,6 +40,7 @@ class GroupPresentation:
 
 
 MAX_WORD_LENGTH = 10_000  # letters in one expanded word, as many as the default coset bound
+MAX_COSET_BOUND = 1_000_000  # cosets one enumeration may define, at about 140 B each
 
 
 def parse_word(word: str, generators: Sequence[str]) -> list[int]:
@@ -207,25 +209,19 @@ def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> Fin
     graph, live = _enumerate_cosets(pres, bound)
     k = len(pres.generators)
 
-    # breadth-first word order from the identity, generators before inverses
-    order_letters = list(range(2 * k))
+    # breadth-first from the identity, parents in order and generators before
+    # inverses, so discovery order is shortlex order of each coset's least word
     start = graph.find(0)
-    words: dict[int, list[int]] = {start: []}
-    parent: dict[int, tuple[int, int]] = {}  # d -> (c, letter) with words[d] = words[c] + [letter]
-    bfs = [start]
-    while bfs:
-        nxt = []
-        for c in bfs:
-            for letter in order_letters:
-                d = graph.step(c, letter)
-                if d not in words:
-                    words[d] = words[c] + [letter]
-                    parent[d] = (c, letter)
-                    nxt.append(d)
-        bfs = nxt
-    ordering = sorted(words, key=lambda c: (len(words[c]), words[c]))
-    assert ordering[0] == start
-    renum = {c: i for i, c in enumerate(ordering)}
+    ordering = [start]
+    renum = {start: 0}
+    parent: dict[int, tuple[int, int]] = {}  # d -> (c, letter): d's least word is c's + letter
+    for c in ordering:  # the list grows while it is read: it is the BFS queue
+        for letter in range(2 * k):
+            d = graph.step(c, letter)
+            if d not in renum:
+                renum[d] = len(ordering)
+                ordering.append(d)
+                parent[d] = (c, letter)
 
     # c * d follows d's word from c: one step from c * (d's BFS parent),
     # which comes earlier in the ordering because its word is shorter
@@ -392,53 +388,31 @@ def count_normal_subgroups_isomorphic_to(
     return count
 
 
-def quotient_table(G: FiniteGroupTable, K: frozenset) -> FiniteGroupTable:
-    """G/K for a normal subgroup K, cosets renumbered with the identity first."""
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in range(G.order):
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for k in K:
-            coset_of[G.table[g][k]] = idx
-    ident = coset_of[0]
-    order = [ident] + [i for i in range(len(reps)) if i != ident]
-    renum = {old: new for new, old in enumerate(order)}
-    table = [
-        [renum[coset_of[G.table[reps[a]][reps[b]]]] for b in order] for a in order
-    ]
-    return FiniteGroupTable(tuple(map(tuple, table)))
-
-
 def abelianization_invariants(G: FiniteGroupTable) -> AbelianInvariants:
-    """Invariant factors of G/[G,G]."""
-    memo: dict = {}
-    comms = frozenset(
-        G.table[G.table[a][b]][G.table[G.inv(a)][G.inv(b)]]
-        for a in range(G.order)
-        for b in range(G.order)
-    )
-    Q = quotient_table(G, _close(G, comms, memo))
-    if Q.order == 1:
-        return AbelianInvariants()
+    """Invariant factors of G/[G,G], read off one Smith form.
 
-    def chains(n: int, minimum: int = 2):
-        if n == 1:
-            yield ()
-            return
-        for d in range(minimum, n + 1):
-            if n % d == 0:
-                for rest in chains(n // d, d):
-                    # factors listed largest-last: d divides everything in rest
-                    if all(r % d == 0 for r in rest):
-                        yield (d,) + rest
-
-    for chain in chains(Q.order):
-        if is_isomorphic(Q, abelian_group_table(AbelianInvariants(chain))):
-            return AbelianInvariants(chain)
-    raise AssertionError("no abelian invariant chain matched")
+    The abelian group on symbols e_g with relations e_s + e_b = e_{s b}, for
+    s in a generating set and b in G, is G/[G,G]: every element is a positive
+    word in the generators, so e_{g h} = e_g + e_h follows by induction on the
+    length of g, and g -> e_g is the universal map to an abelian group.  The
+    edges of a breadth-first tree from 0 set e_0 = 0 and write every other e_g
+    as a sum of the e_s, so the remaining relations are rows over the e_s alone.
+    """
+    gens = _generating_set(G)
+    exponents = {0: [0] * len(gens)}  # e_g as a sum of the e_s, along the tree
+    queue = [0]
+    relations = set()
+    for b in queue:  # the list grows while it is read
+        for i, s in enumerate(gens):
+            step = list(exponents[b])
+            step[i] += 1
+            g = G.table[s][b]
+            if g not in exponents:
+                exponents[g] = step
+                queue.append(g)
+            else:
+                relations.add(tuple(x - y for x, y in zip(step, exponents[g])))
+    return AbelianInvariants(tuple(d for d in invariant_factors(list(relations)) if d > 1))
 
 
 # ---------------------------------------------------------------------------

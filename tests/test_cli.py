@@ -244,6 +244,8 @@ def test_malformed_json_exit_2(capsys):
          "bad lattice: 'sum' of 2000 lattices has rank above 256"),
         (["groups", "build", "--presentation", '{"gens":["a"],"rels":["a0"]}'],
          "possibly infinite or bound too small"),
+        (["groups", "build", "--bound", "1000001", "--presentation",
+          '{"gens":["a"],"rels":["a2"]}'], "--bound 1000001 is above"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import random
 from itertools import permutations, product
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from k3lat.groups import (
     is_isomorphic,
     parse_word,
     semidirect_z4xz2_by_z2,
+    subgroup_table,
 )
 
 
@@ -59,6 +64,22 @@ def test_presentation_orders_beyond_catalog():
     assert count_normal_subgroups_isomorphic_to(q8, catalog_group("(Z/2)^2")) == 0
     c500 = group_from_presentation(GroupPresentation(("a",), ("a500",)))
     assert c500.order == 500 and c500.element_order(c500.generator_images["a"]) == 500
+
+
+def test_group_tables_and_invariants_are_pinned():
+    """Element numbering, generator images and abelian invariants, as literals."""
+    pins = json.loads((Path(__file__).parent / "data" / "group_pins.json").read_text())
+    groups = {name: catalog_group(name) for name in pins["catalog"]}
+    for name, pin in pins["presentations"].items():
+        pres = GroupPresentation(tuple(pin["gens"]), tuple(pin["rels"]))
+        groups[name] = group_from_presentation(pres)
+    assert list(pins["catalog"]) == CATALOG_ORDER
+    for name, pin in {**pins["catalog"], **pins["presentations"]}.items():
+        G = groups[name]
+        digest = hashlib.sha256(json.dumps([list(r) for r in G.table]).encode()).hexdigest()
+        assert digest == pin["table_sha256"], name
+        assert G.generator_images == pin["generator_images"], name
+        assert list(abelianization_invariants(G).factors) == pin["invariants"], name
 
 
 def test_enumeration_bound():
@@ -192,6 +213,32 @@ def test_index_two_counts_match_abelianization():
         ab = abelianization_invariants(G)
         evens = sum(1 for f in ab.factors if f % 2 == 0)
         assert count_normal_subgroups(G, 2) == 2**evens - 1
+
+
+def commutator_subgroup(G):
+    """[G, G] as the closure of every commutator under products."""
+    n = G.order
+    inv = [G.table[a].index(0) for a in range(n)]
+    elems = {G.table[G.table[a][b]][G.table[inv[a]][inv[b]]] for a in range(n) for b in range(n)}
+    while True:
+        more = {G.table[a][b] for a in elems for b in elems} - elems
+        if not more:
+            return elems
+        elems |= more
+
+
+def test_abelianization_matches_commutator_quotient_on_every_subgroup():
+    tables = [
+        subgroup_table(catalog_group(name), H)
+        for name in CATALOG_ORDER
+        for H in all_subgroups(catalog_group(name))
+    ]
+    assert len(tables) == 292
+    for H in tables:
+        inv = abelianization_invariants(H)
+        assert prod(inv.factors) == H.order // len(commutator_subgroup(H))
+        if H.is_abelian():
+            assert is_isomorphic(H, abelian_group_table(inv))
 
 
 def test_isomorphism_is_equivalence_on_catalog():
