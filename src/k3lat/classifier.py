@@ -19,7 +19,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .data import load_json
-from .groups import ExtensionConstraint, abelianization_invariants, catalog_group, filter_extensions
+from .groups import (
+    CATALOG_ORDER,
+    ExtensionConstraint,
+    abelianization_invariants,
+    catalog_group,
+    filter_extensions,
+)
 
 
 class FactsError(ValueError):
@@ -250,15 +256,8 @@ def _derive_enriques_group(row: dict, p: int, c: int) -> None:
             f"table stores kernel {kernel_name}"
         )
     kernel = abelianization_invariants(catalog_group(kernel_name))
-    from .groups import CATALOG_ORDER
-
-    candidates = [
-        catalog_group(name)
-        for name in CATALOG_ORDER
-        if catalog_group(name).order == 2 * kernel.order
-    ]
     constraint = ExtensionConstraint(kernel, 2, tuple(row["ext_facts"]))
-    survivors = filter_extensions(constraint, candidates)
+    survivors = filter_extensions(constraint, [catalog_group(name) for name in CATALOG_ORDER])
     expected = catalog_group(row["pi1"]["name"]).name
     if [g.name for g in survivors] != [expected]:
         raise FactsError(

@@ -286,7 +286,9 @@ def _cmd_groups(args):
         return 0, payload, [f"order {table.order}, {'abelian' if table.is_abelian() else 'nonabelian'}"]
     if args.op == "normal-count":
         table = _group_arg(_require(args, "group"))
-        n = count_normal_subgroups(table, _require(args, "index"))
+        if _require(args, "index") < 1:
+            raise CliError(f"--index {args.index} is not a positive subgroup index")
+        n = count_normal_subgroups(table, args.index)
         return 0, {"group": table.name, "index": args.index, "count": n}, [
             f"{table.name or 'group'} has {n} normal subgroup(s) of index {args.index}"
         ]

@@ -9,11 +9,18 @@ and a trailing integer for a power ("a4" = aaaa, "acBA3C" = a c b' a'a'a' c').
 Subgroup enumeration is exhaustive closure of element subsets; everything
 here targets orders <= 36, where brute force is exact and immediate.  The
 invariants of G/[G,G] are read off the Smith form of one relation matrix.
+
+Each group keeps its derived data on its own ``FiniteGroupTable`` instance.
+Normality is checked by conjugating with the generators.  ``normal_subgroups``
+feeds the normal-subgroup counts and the extension filter, which finds the
+abelian kernel K by its invariants: a subgroup of order |K| with K's
+invariants is abelian, so it is isomorphic to K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -149,7 +156,13 @@ def _enumerate_cosets(pres: GroupPresentation, bound: int) -> tuple[_CosetGraph,
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
-    """A finite group: element 0 is the identity, table[i][j] = i * j."""
+    """A finite group: element 0 is the identity, table[i][j] = i * j.
+
+    The derived data - a generating set, the subgroups and the abelian
+    invariants - is computed on first read and kept on the instance.  Loops
+    read ``table`` into a local: once a cached value has filled the instance
+    ``__dict__``, every attribute read on the instance is slower.
+    """
 
     table: tuple[tuple[int, ...], ...]
     generator_images: dict = field(default_factory=dict, hash=False)
@@ -164,35 +177,26 @@ class FiniteGroupTable:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValueError("element 0 is not an identity")
-        for i in range(n):
-            if not any(self.table[i][j] == 0 for j in range(n)):
+        for i, row in enumerate(self.table):
+            if 0 not in row:
                 raise ValueError(f"element {i} has no inverse")
         # Light's test: the g with (a b) g = a (b g) for all a, b are closed under
         # products, so checking a generating set checks every triple
-        for g in _generating_set(self):
-            for a in range(n):
-                row = self.table[a]
+        t = self.table
+        for g in self.generators:
+            for row in t:
                 for b in range(n):
-                    if self.table[row[b]][g] != row[self.table[b][g]]:
+                    if t[row[b]][g] != row[t[b][g]]:
                         raise ValueError("multiplication table is not associative")
 
     @property
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == 0:
-                return b
-        raise AssertionError
-
     def element_order(self, a: int) -> int:
-        k, x = 1, a
+        t, k, x = self.table, 1, a
         while x != 0:
-            x = self.table[x][a]
+            x = t[x][a]
             k += 1
         return k
 
@@ -202,6 +206,64 @@ class FiniteGroupTable:
 
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each generator is the least element outside the span of those before it."""
+        gens: list[int] = []
+        span = frozenset({0})
+        while len(span) < self.order:
+            g = next(x for x in range(self.order) if x not in span)
+            gens.append(g)
+            span = _close(self, span | {g}, {})  # every seed is new: nothing to memoize
+        return tuple(gens)
+
+    @cached_property
+    def _subgroups(self) -> list[frozenset]:
+        """Every subgroup, by exhaustive closure, sorted by size and then elements."""
+        memo: dict = {}
+        trivial = frozenset({0})
+        found = {trivial}
+        frontier = [trivial]
+        while frontier:
+            nxt = []
+            for H in frontier:
+                for g in range(1, self.order):
+                    if g in H:
+                        continue
+                    K = _close(self, H | {g}, memo)
+                    if K not in found:
+                        found.add(K)
+                        nxt.append(K)
+            frontier = nxt
+        return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+    @cached_property
+    def _abelian_invariants(self) -> AbelianInvariants:
+        """Invariant factors of G/[G,G], read off one Smith form.
+
+        The abelian group on symbols e_g with relations e_s + e_b = e_{s b}, for
+        s in a generating set and b in G, is G/[G,G]: every element is a positive
+        word in the generators, so e_{g h} = e_g + e_h follows by induction on the
+        length of g, and g -> e_g is the universal map to an abelian group.  The
+        edges of a breadth-first tree from 0 set e_0 = 0 and write every other e_g
+        as a sum of the e_s, so the remaining relations are rows over the e_s alone.
+        """
+        t, gens = self.table, self.generators
+        exponents = {0: [0] * len(gens)}  # e_g as a sum of the e_s, along the tree
+        queue = [0]
+        relations = set()
+        for b in queue:  # the list grows while it is read
+            for i, s in enumerate(gens):
+                step = list(exponents[b])
+                step[i] += 1
+                g = t[s][b]
+                if g not in exponents:
+                    exponents[g] = step
+                    queue.append(g)
+                else:
+                    relations.add(tuple(x - y for x, y in zip(step, exponents[g])))
+        return AbelianInvariants(tuple(d for d in invariant_factors(list(relations)) if d > 1))
 
 
 def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> FiniteGroupTable:
@@ -243,7 +305,6 @@ def abelian_group_table(invariants: AbelianInvariants) -> FiniteGroupTable:
     elems = list(product(*(range(f) for f in factors)))
     elems.sort(key=lambda t: (sum(t), t))  # identity first
     idx = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
     table = [
         [idx[tuple((a + b) % f for a, b, f in zip(x, y, factors))] for y in elems] for x in elems
     ]
@@ -257,13 +318,14 @@ def abelian_group_table(invariants: AbelianInvariants) -> FiniteGroupTable:
 def _close(G: FiniteGroupTable, seed: frozenset, memo: dict) -> frozenset:
     if seed in memo:
         return memo[seed]
+    table = G.table
     elems = set(seed) | {0}
     frontier = list(elems)
     while frontier:
         new = []
         for a in list(elems):
             for b in frontier:
-                for x in (G.table[a][b], G.table[b][a]):
+                for x in (table[a][b], table[b][a]):
                     if x not in elems:
                         elems.add(x)
                         new.append(x)
@@ -273,65 +335,43 @@ def _close(G: FiniteGroupTable, seed: frozenset, memo: dict) -> frozenset:
     return out
 
 
-_subgroup_cache: dict[tuple, list[frozenset]] = {}
-
-
 def all_subgroups(G: FiniteGroupTable) -> list[frozenset]:
-    if G.table in _subgroup_cache:
-        return _subgroup_cache[G.table]
-    memo: dict = {}
-    trivial = frozenset({0})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in range(1, G.order):
-                if g in H:
-                    continue
-                K = _close(G, H | {g}, memo)
-                if K not in found:
-                    found.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    out = sorted(found, key=lambda s: (len(s), sorted(s)))
-    _subgroup_cache[G.table] = out
-    return out
+    """Every subgroup of G, found once and kept on G."""
+    return G._subgroups
 
 
 def is_normal(G: FiniteGroupTable, H: frozenset) -> bool:
-    for g in range(G.order):
-        gi = G.inv(g)
-        for h in H:
-            if G.table[G.table[g][h]][gi] not in H:
-                return False
+    """Conjugation by each generator maps H into itself.
+
+    The g with g H g^-1 in H are closed under products, and every element of a
+    finite group is a product of generators, so this holds for every g.
+    """
+    table = G.table
+    for s in G.generators:
+        row, s_inv = table[s], table[s].index(0)
+        if any(table[row[h]][s_inv] not in H for h in H):
+            return False
     return True
+
+
+def normal_subgroups(G: FiniteGroupTable, order: int) -> list[frozenset]:
+    return [H for H in all_subgroups(G) if len(H) == order and is_normal(G, H)]
 
 
 def count_normal_subgroups(G: FiniteGroupTable, index: int) -> int:
     if index < 1 or G.order % index != 0:
         return 0
-    target = G.order // index
-    return sum(1 for H in all_subgroups(G) if len(H) == target and is_normal(G, H))
+    return len(normal_subgroups(G, G.order // index))
 
 
 def subgroup_table(G: FiniteGroupTable, H: frozenset) -> FiniteGroupTable:
+    """H as a group of its own, in G's element order."""
     elems = sorted(H)
     assert elems[0] == 0
     idx = {e: i for i, e in enumerate(elems)}
-    table = [[idx[G.table[a][b]] for b in elems] for a in elems]
+    rows = [G.table[a] for a in elems]
+    table = [[idx[row[b]] for b in elems] for row in rows]
     return FiniteGroupTable(tuple(map(tuple, table)))
-
-
-def _generating_set(G: FiniteGroupTable) -> list[int]:
-    gens: list[int] = []
-    memo: dict = {}
-    span = frozenset({0})
-    while len(span) < G.order:
-        g = next(x for x in range(G.order) if x not in span)
-        gens.append(g)
-        span = _close(G, span | {g}, memo)
-    return gens
 
 
 def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
@@ -340,7 +380,7 @@ def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
         return False
     if G.order_profile() != H.order_profile():
         return False
-    gens = _generating_set(G)
+    gens = G.generators
     gen_orders = [G.element_order(g) for g in gens]
     candidates = [
         [h for h in range(H.order) if H.element_order(h) == o] for o in gen_orders
@@ -348,71 +388,33 @@ def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
 
     def build(images) -> bool:
         mapping = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, img in zip(gens, images):
-                    y = G.table[x][g]
-                    iy = H.table[mapping[x]][img]
-                    if y in mapping:
-                        if mapping[y] != iy:
-                            return False
-                    else:
-                        mapping[y] = iy
-                        nxt.append(y)
-            frontier = nxt
-        if len(mapping) != G.order or len(set(mapping.values())) != G.order:
-            return False
-        return all(
-            mapping[G.table[a][b]] == H.table[mapping[a]][mapping[b]]
-            for a in range(G.order)
-            for b in range(G.order)
-        )
+        queue = [0]
+        for x in queue:  # the list grows while it is read
+            for g, img in zip(gens, images):
+                y, iy = G.table[x][g], H.table[mapping[x]][img]
+                if y not in mapping:
+                    mapping[y] = iy
+                    queue.append(y)
+                elif mapping[y] != iy:
+                    return False
+        # every edge x -> x g agrees, so by induction on the length of a word in
+        # the generators the map is a homomorphism, defined on all of G
+        return len(set(mapping.values())) == G.order
 
-    for images in product(*candidates):
-        if build(images):
-            return True
-    return False
+    return any(build(images) for images in product(*candidates))
 
 
 def count_normal_subgroups_isomorphic_to(
     G: FiniteGroupTable, pattern: FiniteGroupTable
 ) -> int:
-    count = 0
-    for H in all_subgroups(G):
-        if len(H) != pattern.order or not is_normal(G, H):
-            continue
-        if is_isomorphic(subgroup_table(G, H), pattern):
-            count += 1
-    return count
+    return sum(
+        is_isomorphic(subgroup_table(G, H), pattern) for H in normal_subgroups(G, pattern.order)
+    )
 
 
 def abelianization_invariants(G: FiniteGroupTable) -> AbelianInvariants:
-    """Invariant factors of G/[G,G], read off one Smith form.
-
-    The abelian group on symbols e_g with relations e_s + e_b = e_{s b}, for
-    s in a generating set and b in G, is G/[G,G]: every element is a positive
-    word in the generators, so e_{g h} = e_g + e_h follows by induction on the
-    length of g, and g -> e_g is the universal map to an abelian group.  The
-    edges of a breadth-first tree from 0 set e_0 = 0 and write every other e_g
-    as a sum of the e_s, so the remaining relations are rows over the e_s alone.
-    """
-    gens = _generating_set(G)
-    exponents = {0: [0] * len(gens)}  # e_g as a sum of the e_s, along the tree
-    queue = [0]
-    relations = set()
-    for b in queue:  # the list grows while it is read
-        for i, s in enumerate(gens):
-            step = list(exponents[b])
-            step[i] += 1
-            g = G.table[s][b]
-            if g not in exponents:
-                exponents[g] = step
-                queue.append(g)
-            else:
-                relations.add(tuple(x - y for x, y in zip(step, exponents[g])))
-    return AbelianInvariants(tuple(d for d in invariant_factors(list(relations)) if d > 1))
+    """Invariant factors of G/[G,G], computed once and kept on G."""
+    return G._abelian_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +448,14 @@ _cp("G18/5", "abc", "a3", "b3", "c2", "abAB", "acaC", "bcbC")
 
 CATALOG_ORDER = list(_CATALOG_PRESENTATIONS)
 
-_catalog_cache: dict[str, FiniteGroupTable] = {}
 
-
-def catalog_presentation(name: str) -> GroupPresentation:
-    if name not in _CATALOG_PRESENTATIONS:
-        raise ValueError(f"unknown catalog group {name!r}")
-    return _CATALOG_PRESENTATIONS[name]
-
-
+@cache
 def catalog_group(name: str) -> FiniteGroupTable:
     if name == "(Z/4xZ/2):Z/2":  # the split-extension name used by the tables
-        name = "Gamma2c1"
-    if name not in _catalog_cache:
-        pres = catalog_presentation(name)
-        table = group_from_presentation(pres)
-        _catalog_cache[name] = FiniteGroupTable(
-            table.table, generator_images=table.generator_images, name=name
-        )
-    return _catalog_cache[name]
+        return catalog_group("Gamma2c1")
+    if name not in _CATALOG_PRESENTATIONS:
+        raise ValueError(f"unknown catalog group {name!r}")
+    return replace(group_from_presentation(_CATALOG_PRESENTATIONS[name]), name=name)
 
 
 def semidirect_z4xz2_by_z2() -> FiniteGroupTable:
@@ -515,21 +506,17 @@ def filter_extensions(
 ) -> list[FiniteGroupTable]:
     """Keep candidates that extend the abelian kernel by the stated quotient
     and satisfy every recorded fact; input order (catalog order) is kept."""
-    kernel_order = constraint.kernel_invariants.order
-    pattern = abelian_group_table(constraint.kernel_invariants)
+    kernel = constraint.kernel_invariants
     out = []
     for cand in candidates:
-        if cand.order != kernel_order * constraint.quotient_order:
+        if cand.order != kernel.order * constraint.quotient_order:
             continue
-        if kernel_order > 1:
-            has_kernel = any(
-                len(H) == kernel_order
-                and is_normal(cand, H)
-                and is_isomorphic(subgroup_table(cand, H), pattern)
-                for H in all_subgroups(cand)
-            )
-            if not has_kernel:
-                continue
+        # a subgroup of order |K| with K's invariants is abelian, so it is K
+        if not any(
+            abelianization_invariants(subgroup_table(cand, H)) == kernel
+            for H in normal_subgroups(cand, kernel.order)
+        ):
+            continue
         if all(_check_fact(cand, f) for f in constraint.facts):
             out.append(cand)
     return out

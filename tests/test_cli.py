@@ -246,6 +246,10 @@ def test_malformed_json_exit_2(capsys):
          "possibly infinite or bound too small"),
         (["groups", "build", "--bound", "1000001", "--presentation",
           '{"gens":["a"],"rels":["a2"]}'], "--bound 1000001 is above"),
+        (["geometry", "hyperplanes", "--p", "2", "--n", "16"], "p = 2, n = 16"),
+        (["geometry", "hyperplanes", "--p", "251", "--n", "2"], "p = 251, n = 2"),
+        (["groups", "normal-count", "--group", "D8", "--index", "0"], "--index 0"),
+        (["groups", "normal-count", "--group", "D8", "--index", "-2"], "--index -2"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from k3lat import finite_geometry
 from k3lat.finite_geometry import (
     affine_function_code,
     affine_hyperplanes,
@@ -44,6 +45,24 @@ def test_affine_hyperplane_counts(p, n, count, size):
     assert len(hyps) == count == (p**n - 1) // (p - 1) * p
     assert all(len(h.members) == size == p ** (n - 1) for h in hyps)
     assert {frozenset(h.members) for h in hyps} == brute_hyperplanes(p, n)
+
+
+def test_hyperplane_work_cap_boundary(monkeypatch):
+    """The cap admits work equal to it and refuses one step more, before any point is listed."""
+    space = affine_space(3, 2)
+    work = 4 * 3 * 9 * 2  # hyperplanes x points x n
+    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work)
+    assert len(affine_hyperplanes(space)) == 12
+    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work - 1)
+    monkeypatch.setattr(type(space), "points", lambda self: pytest.fail("points were listed"))
+    with pytest.raises(ValueError, match=f"p = 3, n = 2 take {work} steps, above {work - 1}"):
+        affine_hyperplanes(space)
+
+
+def test_hyperplane_work_cap_refuses_inputs_far_above_it():
+    for p, n in [(2, 16), (251, 2), (31, 2)]:
+        with pytest.raises(ValueError, match=f"p = {p}, n = {n} take"):
+            affine_hyperplanes(affine_space(p, n))
 
 
 def test_two_hyperplanes_meet_in_0_or_4():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lat.data import load_json
 from k3lat.groups import (
     CATALOG_ORDER,
     AbelianInvariants,
@@ -23,6 +24,8 @@ from k3lat.groups import (
     filter_extensions,
     group_from_presentation,
     is_isomorphic,
+    is_normal,
+    normal_subgroups,
     parse_word,
     semidirect_z4xz2_by_z2,
     subgroup_table,
@@ -80,6 +83,26 @@ def test_group_tables_and_invariants_are_pinned():
         assert digest == pin["table_sha256"], name
         assert G.generator_images == pin["generator_images"], name
         assert list(abelianization_invariants(G).factors) == pin["invariants"], name
+
+
+def test_normal_counts_iso_counts_and_filter_survivors_are_pinned():
+    """Every catalog group and index, every pattern whose order divides, every table-2 row."""
+    pins = json.loads((Path(__file__).parent / "data" / "group_pins.json").read_text())
+    catalog = {name: catalog_group(name) for name in CATALOG_ORDER}
+    for name, G in catalog.items():
+        got = {str(i): count_normal_subgroups(G, i) for i in range(1, G.order + 1)
+               if G.order % i == 0}
+        assert got == pins["normal_counts"][name], name
+        got = {m: count_normal_subgroups_isomorphic_to(G, P) for m, P in catalog.items()
+               if G.order % P.order == 0}
+        assert got == pins["normal_iso_counts"][name], name
+    rows = [r for r in load_json("table2.json")["rows"] if r["kernel"] != "infinite"]
+    assert len(rows) == len(pins["filter_survivors"]) == 25
+    for row in rows:
+        kernel = abelianization_invariants(catalog_group(row["kernel"]))
+        constraint = ExtensionConstraint(kernel, 2, tuple(row["ext_facts"]))
+        got = [G.name for G in filter_extensions(constraint, list(catalog.values()))]
+        assert got == pins["filter_survivors"][str(row["no"])], row["no"]
 
 
 def test_enumeration_bound():
@@ -334,3 +357,57 @@ def test_filter_order16_extensions():
             ),
         )
         assert [g.name for g in filter_extensions(c, by_names(base))] == [expect]
+
+
+def every_subgroup():
+    catalog = [catalog_group(name) for name in CATALOG_ORDER]
+    return [(G, H) for G in catalog for H in all_subgroups(G)]
+
+
+def test_generator_normality_matches_conjugation_by_every_element():
+    pairs = every_subgroup()
+    assert len(pairs) == 292
+    normal = 0
+    for G, H in pairs:
+        by_definition = all(
+            G.table[G.table[g][h]][G.table[g].index(0)] in H for g in range(G.order) for h in H
+        )
+        assert is_normal(G, H) == by_definition, (G.name, sorted(H))
+        normal += by_definition
+    catalog = [catalog_group(name) for name in CATALOG_ORDER]
+    by_order = sum(len(normal_subgroups(G, m)) for G in catalog for m in range(1, G.order + 1))
+    assert normal == by_order == 223
+
+
+def abelian_invariants_of_order(n):
+    """Every invariant-factor chain d1 | d2 | ... with product n."""
+    chains = []
+
+    def extend(chain, rest):
+        if rest == 1:
+            chains.append(AbelianInvariants(tuple(chain)))
+        for d in range(2, rest + 1):
+            if rest % d == 0 and (not chain or d % chain[-1] == 0):
+                extend(chain + [d], rest // d)
+
+    extend([], n)
+    return chains
+
+
+def test_kernel_test_by_invariants_matches_isomorphism():
+    """A normal subgroup has K's invariants exactly when it is isomorphic to K."""
+    assert [k.factors for k in abelian_invariants_of_order(16)] == [
+        (2, 2, 2, 2), (2, 2, 4), (2, 8), (4, 4), (16,)
+    ]
+    checked = matches = 0
+    for name in CATALOG_ORDER:
+        G = catalog_group(name)
+        for m in range(1, G.order + 1):
+            for H in normal_subgroups(G, m):
+                for kernel in abelian_invariants_of_order(m):
+                    by_invariants = abelianization_invariants(subgroup_table(G, H)) == kernel
+                    oracle = is_isomorphic(subgroup_table(G, H), abelian_group_table(kernel))
+                    assert by_invariants == oracle, (name, sorted(H), kernel)
+                    checked += 1
+                    matches += oracle
+    assert (checked, matches) == (391, 211)
