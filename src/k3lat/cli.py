@@ -346,7 +346,7 @@ def _cmd_table(args):
     lines = [
         f"row {r['no']}: p = {r['p']}, c = {r['c_min']}"
         + (f"..{r['c_max']}" if r["c_max"] != r["c_min"] else "")
-        + f", pi1 = {r['pi1'].get('name') or 'extension of ' + r['pi1']['quotient'] + ' by ' + r['pi1']['kernel_printed']}"
+        + f", pi1 = {classifier.Pi1Descriptor.from_json(r['pi1']).display()}"
         for r in rows
     ]
     return 0, rows, lines or ["no matching rows"]

@@ -78,27 +78,29 @@ def _monic_functionals(space: AffineSpaceModel):
             yield a
 
 
-# hyperplanes x points x n that one enumeration may take: at the cap, p = 1021, n = 1
-# runs in 1.2-1.3 s from the CLI and F_2^8 in 0.4-0.5 s (2-vCPU KVM guest, Python 3.11.7)
-MAX_HYPERPLANE_WORK = 1_050_000
+# monic functionals x points x (n + HYPERPLANE_POINT_COST) that one enumeration may take:
+# each functional is one pass over the points, n products and a fixed cost per point (the
+# bucket and, from the CLI, the JSON).  Near the cap, (p, n) = (71, 2) runs in 1.0-1.3 s
+# from the CLI with --json and F_2^9 in 0.8-1.1 s (2-vCPU KVM guest, Python 3.11.7)
+HYPERPLANE_POINT_COST = 30
+MAX_HYPERPLANE_WORK = 12_000_000
 
 
 def affine_hyperplanes(space: AffineSpaceModel) -> list[PointSubset]:
     """All solution sets of one nontrivial affine-linear equation a.x = b."""
     p, n = space.p, space.n
-    work = (p**n - 1) // (p - 1) * p * space.size * n
+    work = (p**n - 1) // (p - 1) * space.size * (n + HYPERPLANE_POINT_COST)
     if work > MAX_HYPERPLANE_WORK:
         raise ValueError(
             f"hyperplanes of p = {p}, n = {n} take {work} steps, above {MAX_HYPERPLANE_WORK}"
         )
     pts = space.points()
     out = []
-    for a in _monic_functionals(space):
-        for b in range(space.p):
-            members = tuple(
-                i for i, x in enumerate(pts) if sum(ai * xi for ai, xi in zip(a, x)) % space.p == b
-            )
-            out.append(PointSubset(space, members))
+    for a in _monic_functionals(space):  # bucketed by b = a.x, so the p hyperplanes come in b order
+        buckets: list[list[int]] = [[] for _ in range(p)]
+        for i, x in enumerate(pts):
+            buckets[sum(ai * xi for ai, xi in zip(a, x)) % p].append(i)
+        out.extend(PointSubset(space, tuple(members)) for members in buckets)
     return out
 
 

@@ -10,19 +10,19 @@ Subgroup enumeration is exhaustive closure of element subsets; everything
 here targets orders <= 36, where brute force is exact and immediate.  The
 invariants of G/[G,G] are read off the Smith form of one relation matrix.
 
-Each group keeps its derived data on its own ``FiniteGroupTable`` instance.
-Normality is checked by conjugating with the generators.  ``normal_subgroups``
-feeds the normal-subgroup counts and the extension filter, which finds the
-abelian kernel K by its invariants: a subgroup of order |K| with K's
-invariants is abelian, so it is isomorphic to K.
+Each table is built and checked (Light's test) once and keeps its derived
+data.  A subgroup is a set of its parent's elements, read in the parent's
+table.  Normality is checked by conjugating with the generators.  The
+extension filter finds the abelian kernel K by its invariants: a subgroup of
+order |K| with K's invariants is abelian, so it is isomorphic to K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .lattice_core import AbelianInvariants, invariant_factors
 
@@ -204,19 +204,9 @@ class FiniteGroupTable:
         n = self.order
         return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
 
-    def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
-
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Each generator is the least element outside the span of those before it."""
-        gens: list[int] = []
-        span = frozenset({0})
-        while len(span) < self.order:
-            g = next(x for x in range(self.order) if x not in span)
-            gens.append(g)
-            span = _close(self, span | {g}, {})  # every seed is new: nothing to memoize
-        return tuple(gens)
+        return _generating_set(self.table, range(self.order))
 
     @cached_property
     def _subgroups(self) -> list[frozenset]:
@@ -231,7 +221,7 @@ class FiniteGroupTable:
                 for g in range(1, self.order):
                     if g in H:
                         continue
-                    K = _close(self, H | {g}, memo)
+                    K = _close(self.table, H | {g}, memo)
                     if K not in found:
                         found.add(K)
                         nxt.append(K)
@@ -240,34 +230,10 @@ class FiniteGroupTable:
 
     @cached_property
     def _abelian_invariants(self) -> AbelianInvariants:
-        """Invariant factors of G/[G,G], read off one Smith form.
-
-        The abelian group on symbols e_g with relations e_s + e_b = e_{s b}, for
-        s in a generating set and b in G, is G/[G,G]: every element is a positive
-        word in the generators, so e_{g h} = e_g + e_h follows by induction on the
-        length of g, and g -> e_g is the universal map to an abelian group.  The
-        edges of a breadth-first tree from 0 set e_0 = 0 and write every other e_g
-        as a sum of the e_s, so the remaining relations are rows over the e_s alone.
-        """
-        t, gens = self.table, self.generators
-        exponents = {0: [0] * len(gens)}  # e_g as a sum of the e_s, along the tree
-        queue = [0]
-        relations = set()
-        for b in queue:  # the list grows while it is read
-            for i, s in enumerate(gens):
-                step = list(exponents[b])
-                step[i] += 1
-                g = t[s][b]
-                if g not in exponents:
-                    exponents[g] = step
-                    queue.append(g)
-                else:
-                    relations.add(tuple(x - y for x, y in zip(step, exponents[g])))
-        return AbelianInvariants(tuple(d for d in invariant_factors(list(relations)) if d > 1))
+        return _abelianization(self.table, self.generators)
 
 
-def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> FiniteGroupTable:
-    """Coset enumeration over the trivial subgroup, returning the full table."""
+def _multiplication_table(pres: GroupPresentation, bound: int) -> tuple[tuple, dict]:
     graph, live = _enumerate_cosets(pres, bound)
     k = len(pres.generators)
 
@@ -296,29 +262,21 @@ def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> Fin
             row[d] = graph.step(row[up], letter)
         table.append([renum[row[d]] for d in ordering])
     images = {g: renum[graph.step(start, i)] for i, g in enumerate(pres.generators)}
-    return FiniteGroupTable(tuple(map(tuple, table)), generator_images=images)
+    return tuple(map(tuple, table)), images
 
 
-def abelian_group_table(invariants: AbelianInvariants) -> FiniteGroupTable:
-    """Direct-product table of cyclic groups, independent of coset enumeration."""
-    factors = invariants.factors or (1,)
-    elems = list(product(*(range(f) for f in factors)))
-    elems.sort(key=lambda t: (sum(t), t))  # identity first
-    idx = {e: i for i, e in enumerate(elems)}
-    table = [
-        [idx[tuple((a + b) % f for a, b, f in zip(x, y, factors))] for y in elems] for x in elems
-    ]
-    return FiniteGroupTable(tuple(map(tuple, table)), name=str(invariants))
+def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> FiniteGroupTable:
+    """Coset enumeration over the trivial subgroup, returning the full table."""
+    return FiniteGroupTable(*_multiplication_table(pres, bound))
 
 
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
 
-def _close(G: FiniteGroupTable, seed: frozenset, memo: dict) -> frozenset:
+def _close(table: Sequence[Sequence[int]], seed: frozenset, memo: dict) -> frozenset:
     if seed in memo:
         return memo[seed]
-    table = G.table
     elems = set(seed) | {0}
     frontier = list(elems)
     while frontier:
@@ -333,6 +291,43 @@ def _close(G: FiniteGroupTable, seed: frozenset, memo: dict) -> frozenset:
     out = frozenset(elems)
     memo[seed] = out
     return out
+
+
+def _generating_set(table: Sequence[Sequence[int]], S: Collection[int]) -> tuple[int, ...]:
+    """Each generator of S is the least element of S outside the span of those before it."""
+    gens: list[int] = []
+    span = frozenset({0})
+    for x in sorted(S):
+        if x not in span:
+            gens.append(x)
+            span = _close(table, span | {x}, {})  # every seed is new: nothing to memoize
+    return tuple(gens)
+
+
+def _abelianization(table: Sequence[Sequence[int]], gens: Sequence[int]) -> AbelianInvariants:
+    """Invariant factors of S/[S,S] for the subgroup S that gens generate, from one Smith form.
+
+    The abelian group on symbols e_g with relations e_s + e_b = e_{s b}, for
+    s in gens and b in S, is S/[S,S]: every element is a positive word in the
+    generators, so e_{g h} = e_g + e_h follows by induction on the length of g,
+    and g -> e_g is the universal map to an abelian group.  The edges of a
+    breadth-first tree from 0 set e_0 = 0 and write every other e_g as a sum of
+    the e_s, so the remaining relations are rows over the e_s alone.
+    """
+    exponents = {0: [0] * len(gens)}  # e_g as a sum of the e_s, along the tree
+    queue = [0]
+    relations = set()
+    for b in queue:  # the list grows while it is read
+        for i, s in enumerate(gens):
+            step = list(exponents[b])
+            step[i] += 1
+            g = table[s][b]
+            if g not in exponents:
+                exponents[g] = step
+                queue.append(g)
+            else:
+                relations.add(tuple(x - y for x, y in zip(step, exponents[g])))
+    return AbelianInvariants(tuple(d for d in invariant_factors(list(relations)) if d > 1))
 
 
 def all_subgroups(G: FiniteGroupTable) -> list[frozenset]:
@@ -364,52 +359,45 @@ def count_normal_subgroups(G: FiniteGroupTable, index: int) -> int:
     return len(normal_subgroups(G, G.order // index))
 
 
-def subgroup_table(G: FiniteGroupTable, H: frozenset) -> FiniteGroupTable:
-    """H as a group of its own, in G's element order."""
-    elems = sorted(H)
-    assert elems[0] == 0
-    idx = {e: i for i, e in enumerate(elems)}
-    rows = [G.table[a] for a in elems]
-    table = [[idx[row[b]] for b in elems] for row in rows]
-    return FiniteGroupTable(tuple(map(tuple, table)))
-
-
-def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
-    """Generator-image backtracking search for an isomorphism."""
-    if G.order != H.order:
+def _maps_onto(G: FiniteGroupTable, H: FiniteGroupTable, S: Collection[int]) -> bool:
+    """Generator-image backtracking search for an isomorphism of G onto the subgroup S of H."""
+    if G.order != len(S):
         return False
-    if G.order_profile() != H.order_profile():
+    g_orders = [G.element_order(g) for g in range(G.order)]
+    h_orders = {h: H.element_order(h) for h in sorted(S)}
+    if sorted(g_orders) != sorted(h_orders.values()):
         return False
-    gens = G.generators
-    gen_orders = [G.element_order(g) for g in gens]
-    candidates = [
-        [h for h in range(H.order) if H.element_order(h) == o] for o in gen_orders
-    ]
+    gens, g_table, h_table = G.generators, G.table, H.table
+    candidates = [[h for h, o in h_orders.items() if o == g_orders[g]] for g in gens]
 
     def build(images) -> bool:
         mapping = {0: 0}
         queue = [0]
         for x in queue:  # the list grows while it is read
             for g, img in zip(gens, images):
-                y, iy = G.table[x][g], H.table[mapping[x]][img]
+                y, iy = g_table[x][g], h_table[mapping[x]][img]
                 if y not in mapping:
                     mapping[y] = iy
                     queue.append(y)
                 elif mapping[y] != iy:
                     return False
         # every edge x -> x g agrees, so by induction on the length of a word in
-        # the generators the map is a homomorphism, defined on all of G
+        # the generators the map is a homomorphism, defined on all of G; its
+        # image lies in S, so an injective one is onto S
         return len(set(mapping.values())) == G.order
 
     return any(build(images) for images in product(*candidates))
 
 
+def is_isomorphic(G: FiniteGroupTable, H: FiniteGroupTable) -> bool:
+    """Generator-image backtracking search for an isomorphism."""
+    return _maps_onto(G, H, range(H.order))
+
+
 def count_normal_subgroups_isomorphic_to(
     G: FiniteGroupTable, pattern: FiniteGroupTable
 ) -> int:
-    return sum(
-        is_isomorphic(subgroup_table(G, H), pattern) for H in normal_subgroups(G, pattern.order)
-    )
+    return sum(_maps_onto(pattern, G, N) for N in normal_subgroups(G, pattern.order))
 
 
 def abelianization_invariants(G: FiniteGroupTable) -> AbelianInvariants:
@@ -455,17 +443,7 @@ def catalog_group(name: str) -> FiniteGroupTable:
         return catalog_group("Gamma2c1")
     if name not in _CATALOG_PRESENTATIONS:
         raise ValueError(f"unknown catalog group {name!r}")
-    return replace(group_from_presentation(_CATALOG_PRESENTATIONS[name]), name=name)
-
-
-def semidirect_z4xz2_by_z2() -> FiniteGroupTable:
-    """The split extension of Z/4 x Z/2 by an involution sending x to x^-1 y.
-
-    Written with its own presentation so identifying it with the catalog
-    group of order 16 is a genuine check rather than a tautology.
-    """
-    pres = GroupPresentation(tuple("xyz"), ("x4", "y2", "z2", "xyXY", "zxzYx", "zyzY"))
-    return group_from_presentation(pres)
+    return FiniteGroupTable(*_multiplication_table(_CATALOG_PRESENTATIONS[name], 10_000), name)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +491,7 @@ def filter_extensions(
             continue
         # a subgroup of order |K| with K's invariants is abelian, so it is K
         if not any(
-            abelianization_invariants(subgroup_table(cand, H)) == kernel
+            _abelianization(cand.table, _generating_set(cand.table, H)) == kernel
             for H in normal_subgroups(cand, kernel.order)
         ):
             continue

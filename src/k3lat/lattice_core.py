@@ -57,10 +57,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
-def vec_mat(v: Sequence, M: Sequence[Sequence]) -> list:
-    return [sum(v[i] * M[i][j] for i in range(len(v))) for j in range(len(M[0]))]
-
-
 def bareiss_det(M: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant of a square integer matrix."""
     A = copy_matrix(M)

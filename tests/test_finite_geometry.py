@@ -50,7 +50,7 @@ def test_affine_hyperplane_counts(p, n, count, size):
 def test_hyperplane_work_cap_boundary(monkeypatch):
     """The cap admits work equal to it and refuses one step more, before any point is listed."""
     space = affine_space(3, 2)
-    work = 4 * 3 * 9 * 2  # hyperplanes x points x n
+    work = 4 * 9 * (2 + finite_geometry.HYPERPLANE_POINT_COST)  # functionals x points x (n + k)
     monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work)
     assert len(affine_hyperplanes(space)) == 12
     monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work - 1)
@@ -60,7 +60,7 @@ def test_hyperplane_work_cap_boundary(monkeypatch):
 
 
 def test_hyperplane_work_cap_refuses_inputs_far_above_it():
-    for p, n in [(2, 16), (251, 2), (31, 2)]:
+    for p, n in [(2, 16), (251, 2), (3, 8)]:
         with pytest.raises(ValueError, match=f"p = {p}, n = {n} take"):
             affine_hyperplanes(affine_space(p, n))
 

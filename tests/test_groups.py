@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lat.classifier import EnriquesInput, _table, enriques_classify
 from k3lat.data import load_json
 from k3lat.groups import (
     CATALOG_ORDER,
@@ -15,7 +16,9 @@ from k3lat.groups import (
     ExtensionConstraint,
     FiniteGroupTable,
     GroupPresentation,
-    abelian_group_table,
+    _abelianization,
+    _generating_set,
+    _maps_onto,
     abelianization_invariants,
     all_subgroups,
     catalog_group,
@@ -27,9 +30,38 @@ from k3lat.groups import (
     is_normal,
     normal_subgroups,
     parse_word,
-    semidirect_z4xz2_by_z2,
-    subgroup_table,
 )
+
+
+def abelian_group_table(invariants):
+    """Direct-product table of cyclic groups, independent of coset enumeration."""
+    factors = invariants.factors or (1,)
+    elems = list(product(*(range(f) for f in factors)))
+    elems.sort(key=lambda t: (sum(t), t))  # identity first
+    idx = {e: i for i, e in enumerate(elems)}
+    table = [
+        [idx[tuple((a + b) % f for a, b, f in zip(x, y, factors))] for y in elems] for x in elems
+    ]
+    return FiniteGroupTable(tuple(map(tuple, table)), name=str(invariants))
+
+
+def semidirect_z4xz2_by_z2():
+    """The split extension of Z/4 x Z/2 by an involution sending x to x^-1 y.
+
+    Written with its own presentation so identifying it with the catalog
+    group of order 16 is a genuine check rather than a tautology.
+    """
+    pres = GroupPresentation(tuple("xyz"), ("x4", "y2", "z2", "xyXY", "zxzYx", "zyzY"))
+    return group_from_presentation(pres)
+
+
+def subgroup_table(G, H):
+    """H as a group of its own, in G's element order, built and checked by the constructor."""
+    elems = sorted(H)
+    assert elems[0] == 0
+    idx = {e: i for i, e in enumerate(elems)}
+    table = [[idx[G.table[a][b]] for b in elems] for a in elems]
+    return FiniteGroupTable(tuple(map(tuple, table)))
 
 
 def test_parse_word():
@@ -251,17 +283,18 @@ def commutator_subgroup(G):
 
 
 def test_abelianization_matches_commutator_quotient_on_every_subgroup():
-    tables = [
-        subgroup_table(catalog_group(name), H)
-        for name in CATALOG_ORDER
-        for H in all_subgroups(catalog_group(name))
-    ]
-    assert len(tables) == 292
-    for H in tables:
+    """On each subgroup's own table, and read inside its parent's table with the same generators."""
+    pairs = every_subgroup()
+    assert len(pairs) == 292
+    for G, S in pairs:
+        H = subgroup_table(G, S)
         inv = abelianization_invariants(H)
         assert prod(inv.factors) == H.order // len(commutator_subgroup(H))
         if H.is_abelian():
             assert is_isomorphic(H, abelian_group_table(inv))
+        gens = _generating_set(G.table, S)
+        assert [sorted(S).index(g) for g in gens] == list(H.generators), (G.name, sorted(S))
+        assert _abelianization(G.table, gens) == inv, (G.name, sorted(S))
 
 
 def test_isomorphism_is_equivalence_on_catalog():
@@ -411,3 +444,49 @@ def test_kernel_test_by_invariants_matches_isomorphism():
                     checked += 1
                     matches += oracle
     assert (checked, matches) == (391, 211)
+
+
+def test_in_parent_isomorphism_matches_subgroup_tables():
+    """Every catalog pattern maps onto a normal subgroup exactly when the subgroup's own
+    table is isomorphic to it."""
+    catalog = [catalog_group(name) for name in CATALOG_ORDER]
+    checked = matches = 0
+    for G in catalog:
+        for m in range(1, G.order + 1):
+            for N in normal_subgroups(G, m):
+                own = subgroup_table(G, N)
+                for P in catalog:
+                    if P.order == m:
+                        in_parent = _maps_onto(P, G, N)
+                        assert in_parent == is_isomorphic(own, P), (G.name, sorted(N), P.name)
+                        checked += 1
+                        matches += in_parent
+    # each of the 223 normal subgroups is isomorphic to exactly one catalog group
+    assert (checked, matches) == (435, 223)
+
+
+def test_each_catalog_group_is_built_once(monkeypatch):
+    """A cold pass over the (row, c) cases of table 2 builds each of the 24 catalog tables
+    once, and a warm pass builds none: no subgroup or renamed copy is constructed."""
+    built = []
+    check = FiniteGroupTable.__post_init__
+
+    def counting(G):
+        built.append(G)
+        check(G)
+
+    monkeypatch.setattr(FiniteGroupTable, "__post_init__", counting)
+    cases = [
+        EnriquesInput(row["p"], c, w=row.get("w"), cover=row.get("cover"))
+        for row in _table(2)
+        for c in range(row["c_min"], row["c_max"] + 1)
+    ]
+    assert len(cases) == 29
+    catalog_group.cache_clear()
+    for inp in cases:
+        enriques_classify(inp)
+    assert len(built) == len(CATALOG_ORDER) == 24
+    assert sorted(G.name for G in built) == sorted(CATALOG_ORDER)
+    for inp in cases:
+        enriques_classify(inp)
+    assert len(built) == 24

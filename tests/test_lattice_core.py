@@ -28,8 +28,12 @@ from k3lat.lattice_core import (
     smith_normal_form,
     solve_left,
     span_coordinates,
-    vec_mat,
 )
+
+
+def vec_mat(v, M):
+    """The row vector v times the matrix M."""
+    return [sum(v[i] * M[i][j] for i in range(len(v))) for j in range(len(M[0]))]
 
 
 def minor_gcd_diagonal(M):
