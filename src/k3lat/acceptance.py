@@ -36,6 +36,9 @@ def _check(number, title, fn) -> CriterionResult:
     except AssertionError as exc:
         detail = str(exc) or "assertion failed"
         passed = False
+    except Exception as exc:  # a crash is a failed criterion, not the end of the run
+        detail = f"{type(exc).__name__}: {exc}"
+        passed = False
     elapsed = time.perf_counter() - start
     return CriterionResult(number, title, passed, detail, elapsed)
 

@@ -124,12 +124,10 @@ def _as_object(obj) -> dict:
 
 def _config_from_json(obj):
     with _fields("configuration"):
-        torsion = _as_object(obj).get("kw_mod2")
         return root_config.ChainConfiguration(
-            ambient=lattice_core.parse_lattice(obj["ambient"]),
+            ambient=lattice_core.parse_lattice(_as_object(obj)["ambient"]),
             p=int(obj["p"]),
             chains=tuple(tuple(tuple(int(x) for x in v) for v in ch) for ch in obj["chains"]),
-            torsion_class=tuple(torsion) if torsion is not None else None,
         )
 
 
@@ -153,18 +151,16 @@ def _cmd_lattice(args):
         return 0, {"invariants": list(inv.factors), "order": inv.order}, [
             f"discriminant group: {inv} (order {inv.order})"
         ]
-    if args.op == "closure":
-        obj = _load_json_arg(_require(args, "basis"))
-        with _fields("basis"):
-            basis = tuple(tuple(int(x) for x in v) for v in obj)
-        closure, glue = lattice_core.primitive_closure(
-            lattice_core.EmbeddedSublattice(lat, basis)
-        )
-        return 0, {"closure_basis": closure, "glue": list(glue.factors)}, [
-            f"glue group: {glue}",
-            f"closure basis: {closure}",
-        ]
-    raise CliError(f"unknown lattice operation {args.op}")
+    obj = _load_json_arg(_require(args, "basis"))
+    with _fields("basis"):
+        basis = tuple(tuple(int(x) for x in v) for v in obj)
+    closure, glue = lattice_core.primitive_closure(
+        lattice_core.EmbeddedSublattice(lat, basis)
+    )
+    return 0, {"closure_basis": closure, "glue": list(glue.factors)}, [
+        f"glue group: {glue}",
+        f"closure basis: {closure}",
+    ]
 
 
 def _cmd_config(args):
@@ -182,12 +178,10 @@ def _cmd_config(args):
         lines = [f"{len(witnesses)} divisible weighted subset(s)"]
         lines += [f"  subset {list(w.subset)} coefficients {list(w.coefficients)}" for w in witnesses]
         return 0, payload, lines
-    if args.op == "primitive":
-        primitive = not witnesses
-        return (0 if primitive else 1), {"primitive": primitive}, [
-            "primitive" if primitive else f"not primitive ({len(witnesses)} witnesses)"
-        ]
-    raise CliError(f"unknown config operation {args.op}")
+    primitive = not witnesses
+    return (0 if primitive else 1), {"primitive": primitive}, [
+        "primitive" if primitive else f"not primitive ({len(witnesses)} witnesses)"
+    ]
 
 
 def _cmd_geometry(args):
@@ -221,12 +215,10 @@ def _cmd_geometry(args):
             f"12-subset with a unique hyperplane: {list(report.unique_12)}",
             f"11-subset with no hyperplane: {list(report.none_11)}",
         ]
-    if args.op == "ag23":
-        ok = finite_geometry.ag23_unique_six_set(finite_geometry.affine_space(3, 2))
-        return (0 if ok else 1), {"unique_six_set": ok}, [
-            f"every 7-point subset holds exactly one line complement: {ok}"
-        ]
-    raise CliError(f"unknown geometry operation {args.op}")
+    ok = finite_geometry.ag23_unique_six_set(finite_geometry.affine_space(3, 2))
+    return (0 if ok else 1), {"unique_six_set": ok}, [
+        f"every 7-point subset holds exactly one line complement: {ok}"
+    ]
 
 
 def _cmd_fibration(args):
@@ -246,17 +238,15 @@ def _cmd_fibration(args):
     if args.op == "height":
         h = elliptic.height(_require(args, "section"), spec)
         return 0, {"section": args.section, "height": _jsonable(h)}, [f"h({args.section}) = {h}"]
-    if args.op == "relation":
-        rel = _load_json_arg(_require(args, "relation"))
-        with _fields("relation"):
-            lhs = elliptic.parse_divisor(_as_object(rel)["lhs"])
-            rhs = elliptic.parse_divisor(rel["rhs"])
-            p = int(rel["p"])
-        ok = elliptic.verify_divisibility_relation(spec, lhs, p, rhs)
-        return (0 if ok else 1), {"verified": ok, "p": rel["p"]}, [
-            f"relation {'holds' if ok else 'fails'} (p = {rel['p']})"
-        ]
-    raise CliError(f"unknown fibration operation {args.op}")
+    rel = _load_json_arg(_require(args, "relation"))
+    with _fields("relation"):
+        lhs = elliptic.parse_divisor(_as_object(rel)["lhs"])
+        rhs = elliptic.parse_divisor(rel["rhs"])
+        p = int(rel["p"])
+    ok = elliptic.verify_divisibility_relation(spec, lhs, p, rhs)
+    return (0 if ok else 1), {"verified": ok, "p": rel["p"]}, [
+        f"relation {'holds' if ok else 'fails'} (p = {rel['p']})"
+    ]
 
 
 def _cmd_groups(args):
@@ -292,14 +282,12 @@ def _cmd_groups(args):
         return 0, {"group": table.name, "index": args.index, "count": n}, [
             f"{table.name or 'group'} has {n} normal subgroup(s) of index {args.index}"
         ]
-    if args.op == "iso":
-        a = _group_arg(_require(args, "group"))
-        b = _group_arg(_require(args, "other"))
-        ok = is_isomorphic(a, b)
-        return (0 if ok else 1), {"isomorphic": ok}, [
-            f"{a.name} and {b.name} are {'isomorphic' if ok else 'not isomorphic'}"
-        ]
-    raise CliError(f"unknown groups operation {args.op}")
+    a = _group_arg(_require(args, "group"))
+    b = _group_arg(_require(args, "other"))
+    ok = is_isomorphic(a, b)
+    return (0 if ok else 1), {"isomorphic": ok}, [
+        f"{a.name} and {b.name} are {'isomorphic' if ok else 'not isomorphic'}"
+    ]
 
 
 def _row_payload(row: classifier.TableRow):

@@ -1,12 +1,15 @@
 """Elliptic fibration models on K3 surfaces: fibre component graphs, the
 height pairing on sections, and exact verification of divisibility relations.
 
-Heights and relation checks both run over exact rationals.  A divisibility
-relation ``lhs = p * rhs`` between formal combinations of the zero section,
-listed sections, a general fibre F and fibre components is verified in the
-formal-radical model: the formal module surjects onto the class group, the
-pairing descends, and the class pairing is nondegenerate, so ``lhs - p*rhs``
-maps to zero exactly when it pairs to zero with every generator.
+Only chi = 2 is modelled.  A spec lists the torsion sections it uses, not the
+Mordell-Weil order, and their intersection numbers form one table that is
+checked when the spec is made.  Heights and relation checks both run over
+exact rationals.  A divisibility relation ``lhs = p * rhs`` between formal
+combinations of the zero section, listed sections, a general fibre F and fibre
+components is verified in the formal-radical model: the formal module surjects
+onto the class group, the pairing descends, and the class pairing is
+nondegenerate, so ``lhs - p*rhs`` maps to zero exactly when it pairs to zero
+with every generator.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Optional, Sequence
 from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
 
 FIBRE_SYMBOL = "F"
+CHI = 2  # the Euler characteristic of the structure sheaf of a K3 surface
 
 # multiplicities and bonds of the additive fibre graphs; components are kept
 # in label order, the zero section meets component 0
@@ -113,21 +117,17 @@ class FibrationSpec:
     fibres: tuple[KodairaFibre, ...]
     zero_section: str
     sections: tuple[SectionIncidence, ...] = ()
-    mw_order: int = 1
-    chi: int = 2
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.chi != 2:
-            raise ValueError("only chi = 2 surfaces are modelled")
         ids = [f.fibre_id for f in self.fibres]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate fibre ids")
         all_labels = [l for f in self.fibres for l in f.labels]
         if len(set(all_labels)) != len(all_labels):
             raise ValueError("component labels must be globally unique")
-        reserved = {FIBRE_SYMBOL, self.zero_section} | {s.name for s in self.sections}
-        if reserved & set(all_labels):
+        names = [self.zero_section] + [s.name for s in self.sections]
+        if {FIBRE_SYMBOL, *names} & set(all_labels):
             raise ValueError("component labels clash with section or fibre symbols")
         for s in self.sections:
             for fid, label in s.meets.items():
@@ -137,6 +137,24 @@ class FibrationSpec:
                     raise ValueError(
                         f"section {s.name} meets non-simple component {label} of {fid}"
                     )
+        # one symmetric table {frozenset({a, b}): a.b} of the numbers the sections
+        # record (dot_zero, dots): integers, for distinct sections, equal if recorded twice
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise ValueError(f"two sections are named {twice[0]!r}")
+        table = {}
+        for s in self.sections:
+            for other, value in [(self.zero_section, s.dot_zero), *s.dots.items()]:
+                if other not in names or other == s.name:
+                    raise ValueError(f"section {s.name}: {other!r} is not another section")
+                if type(value) is not int:
+                    raise ValueError(f"section {s.name}: {value!r} for {other} is not an integer")
+                key = frozenset((s.name, other))
+                if table.setdefault(key, value) != value:
+                    raise ValueError(
+                        f"sections {s.name}, {other}: recorded as {table[key]} and {value}"
+                    )
+        object.__setattr__(self, "_dots", table)
 
     def fibre(self, fibre_id: str) -> KodairaFibre:
         for f in self.fibres:
@@ -158,19 +176,11 @@ class FibrationSpec:
 
     def section_dot(self, a: str, b: str) -> int:
         if a == b:
-            return -2
-        for s in self.sections:
-            if s.name == a:
-                if b == self.zero_section:
-                    return s.dot_zero
-                if b in s.dots:
-                    return s.dots[b]
-            if s.name == b:
-                if a == self.zero_section:
-                    return s.dot_zero
-                if a in s.dots:
-                    return s.dots[a]
-        raise ValueError(f"no recorded intersection number for sections {a}, {b}")
+            return -CHI
+        try:
+            return self._dots[frozenset((a, b))]
+        except KeyError:
+            raise ValueError(f"no recorded intersection number for sections {a}, {b}") from None
 
 
 def parse_fibration(obj: dict) -> FibrationSpec:
@@ -195,12 +205,12 @@ def parse_fibration(obj: dict) -> FibrationSpec:
         )
         for s in obj.get("sections", ())
     )
+    if int(obj.get("chi", CHI)) != CHI:
+        raise ValueError("only chi = 2 surfaces are modelled")
     return FibrationSpec(
         fibres=tuple(fibres),
         zero_section=obj["zero_section"],
         sections=sections,
-        mw_order=int(obj.get("mw_order", 1)),
-        chi=int(obj.get("chi", 2)),
         name=obj.get("name"),
     )
 
@@ -242,14 +252,11 @@ def local_contribution(fibre: KodairaFibre, i: int, j: int) -> Fraction:
 def height_pair(P: str, Q: str, spec: FibrationSpec) -> Fraction:
     """Height pairing: chi + P.O + Q.O - P.Q - sum of local terms.
 
-    For P = Q this reduces to 2 chi + 2 (P.O) - sum, since a section has
+    For P = Q this is 2 chi + 2 (P.O) - sum, since a section has
     self-intersection -chi.
     """
     sp, sq = spec.section(P), spec.section(Q)
-    if P == Q:
-        total = Fraction(2 * spec.chi) + 2 * sp.dot_zero
-    else:
-        total = Fraction(spec.chi) + sp.dot_zero + sq.dot_zero - spec.section_dot(P, Q)
+    total = Fraction(CHI + sp.dot_zero + sq.dot_zero - spec.section_dot(P, Q))
     for fibre in spec.fibres:
         i = spec.meet_index(sp, fibre)
         j = spec.meet_index(sq, fibre)
@@ -320,10 +327,7 @@ def formal_gram(spec: FibrationSpec) -> tuple[list[str], list[list[int]]]:
 
     for a in section_names:
         for b in section_names:
-            if a == b:
-                G[pos[a]][pos[a]] = -2
-            else:
-                G[pos[a]][pos[b]] = spec.section_dot(a, b)
+            G[pos[a]][pos[b]] = spec.section_dot(a, b)
         G[pos[a]][pos[FIBRE_SYMBOL]] = G[pos[FIBRE_SYMBOL]][pos[a]] = 1
 
     for fibre in spec.fibres:

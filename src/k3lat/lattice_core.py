@@ -421,10 +421,12 @@ class EmbeddedSublattice:
 
 
 def discriminant_group(L: GramLattice) -> AbelianInvariants:
-    """Invariant factors of L*/L, read off the Smith form of the Gram matrix."""
-    if L.det() == 0:
+    """Invariant factors of L*/L, read off the Smith form of the Gram matrix;
+    fewer nonzero factors than the rank means L is degenerate."""
+    d = invariant_factors(L.gram_rows())
+    if len(d) < L.rank:
         raise DegenerateLatticeError("degenerate lattice")
-    return AbelianInvariants(tuple(x for x in invariant_factors(L.gram_rows()) if x > 1))
+    return AbelianInvariants(tuple(x for x in d if x > 1))
 
 
 def primitive_closure(S: EmbeddedSublattice) -> tuple[list[list[int]], AbelianInvariants]:

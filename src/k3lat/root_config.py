@@ -8,8 +8,9 @@ re-verifies every candidate integrally.
 
 For Enriques models the class group carries an order-2 torsion part that no
 choice of basis splits off canonically; vectors may therefore carry extra
-mod-2 coordinates beyond the free rank, with the canonical-class
-representative supplied alongside (``torsion_class``).
+mod-2 coordinates beyond the free rank, which the pairing never sees and the
+search counts for p = 2 only.  Only ``enriques_mod2_divisibility`` reads the
+canonical class.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 from .lattice_core import (
     AbelianInvariants,
@@ -59,15 +60,14 @@ class ChainConfiguration:
     """c chains of p-1 classes embedded in a class lattice.
 
     ``chains[i][k]`` is the coordinate vector of the k-th class of chain i
-    (k = 0 .. p-2).  When ``torsion_class`` is given, vectors have
-    ``ambient.rank + t`` entries whose trailing t coordinates are torsion
-    bits; the Gram pairing only sees the first ``ambient.rank`` entries.
+    (k = 0 .. p-2).  Vectors may have ``ambient.rank + t`` entries whose
+    trailing t coordinates are torsion bits; the Gram pairing only sees the
+    first ``ambient.rank`` entries.
     """
 
     ambient: GramLattice
     p: int
     chains: tuple[tuple[tuple[int, ...], ...], ...]
-    torsion_class: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -77,11 +77,7 @@ class ChainConfiguration:
             "chains",
             tuple(tuple(tuple(map(int, v)) for v in chain) for chain in self.chains),
         )
-        if self.torsion_class is not None:
-            object.__setattr__(self, "torsion_class", tuple(int(x) % 2 for x in self.torsion_class))
         n = self.vector_length
-        if self.torsion_class is not None and len(self.torsion_class) != n:
-            raise ValueError("torsion_class length must match the chain vectors")
         if n < self.ambient.rank:
             raise ValueError("chain vectors shorter than the ambient rank")
         for chain in self.chains:

@@ -6,7 +6,9 @@ scoreboard, and the same checks back the CLI ``selftest`` subcommand.
 
 import pytest
 
+from k3lat import acceptance
 from k3lat.acceptance import TIME_BUDGETS, run_criterion
+from k3lat.cli import run
 
 
 @pytest.mark.parametrize("number", sorted(TIME_BUDGETS))
@@ -20,3 +22,24 @@ def test_criterion(number):
         f"criterion {result.number} took {result.seconds:.2f}s "
         f"(budget {TIME_BUDGETS[number]}s)"
     )
+
+
+def test_selftest_reports_a_crashing_criterion_as_failed(capsys, monkeypatch):
+    """A criterion that raises something other than AssertionError is one FAIL line;
+    the other criteria still run and print, and the exit code is 1."""
+    def missing_file():
+        raise FileNotFoundError("no such file: mp108.json")
+
+    criteria = list(acceptance._CRITERIA)
+    number, title, _ = criteria[9]
+    criteria[9] = (number, title, missing_file)
+    monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+    code = run(["selftest"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and "Traceback" not in out + err
+    assert sum(line.startswith("PASS") for line in lines) == 9
+    fail = [line for line in lines if line.startswith("FAIL")]
+    assert len(fail) == 1 and fail[0].startswith(f"FAIL  criterion {number} ({title})")
+    assert fail[0].endswith(": FileNotFoundError: no such file: mp108.json")
+    assert lines[-1] == "9/10 criteria passed"

@@ -13,6 +13,21 @@ from k3lat.data import data_dir
 
 
 MP108 = str(data_dir() / "mp108.json")
+MP108_RELATION = str(data_dir() / "mp108_relation.json")
+
+
+def mp108_edited(edit):
+    """The bundled mp108 spec as JSON text, after ``edit`` has changed a copy of it."""
+    spec = json.loads(Path(MP108).read_text())
+    edit(spec)
+    return json.dumps(spec)
+
+
+def set_dots(p1, p2):
+    """An edit that sets the ``dots`` of the two torsion sections P1 and P2 of mp108."""
+    def edit(spec):
+        spec["sections"][0]["dots"], spec["sections"][1]["dots"] = p1, p2
+    return edit
 
 
 def run_capture(capsys, argv):
@@ -54,6 +69,16 @@ def test_lattice_snf_transforms_are_pinned(capsys, name):
     assert code == 0
     got = json.loads(out)
     assert (got["D"], got["P"], got["Q"]) == (pin["D"], pin["P"], pin["Q"])
+
+
+def test_cli_answers_are_pinned(capsys):
+    """Exit code and stdout of every subcommand and operation, text and --json, against
+    `tests/data/cli_pins.json`; an argument `data:NAME` is the bundled file NAME."""
+    pins = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
+    for pin in pins:
+        argv = [str(data_dir() / a[5:]) if a.startswith("data:") else a for a in pin["argv"]]
+        code, out, _ = run_capture(capsys, argv)
+        assert (code, out) == (pin["code"], pin["stdout"]), pin["argv"]
 
 
 def test_lattice_snf_and_disc(capsys):
@@ -125,7 +150,7 @@ def test_fibration_height(capsys):
 
 def test_fibration_relation_false_exits_1(capsys):
     base = data_dir()
-    rel = json.load(open(base / "mp108_relation.json"))
+    rel = json.loads((base / "mp108_relation.json").read_text())
     rel["lhs"]["A1"] += 1
     code, out, _ = run_capture(
         capsys,
@@ -250,6 +275,28 @@ def test_malformed_json_exit_2(capsys):
         (["geometry", "hyperplanes", "--p", "251", "--n", "2"], "p = 251, n = 2"),
         (["groups", "normal-count", "--group", "D8", "--index", "0"], "--index 0"),
         (["groups", "normal-count", "--group", "D8", "--index", "-2"], "--index -2"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][1].update(id="G"))], "duplicate fibre ids"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0]["labels"].__setitem__(1, "P1"))],
+         "component labels clash"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0].update(type="I9*"))], "unknown fibre kind 'I9*'"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][1]["labels"].pop())],
+         "fibre A: expected 3 component labels"),
+        (["fibration", "relation", "--spec", mp108_edited(set_dots({}, {})),
+          "--relation", MP108_RELATION], "no recorded intersection number for sections P1, P2"),
+        # the intersection table refuses what a scan of the sections let through
+        (["fibration", "relation", "--spec", mp108_edited(set_dots({"P2": "x"}, {})),
+          "--relation", MP108_RELATION], "section P1: 'x' for P2 is not an integer"),
+        (["fibration", "relation", "--spec", mp108_edited(set_dots({"P2": 1}, {"P1": 0})),
+          "--relation", MP108_RELATION], "sections P2, P1: recorded as 1 and 0"),
+        (["fibration", "validate", "--spec", mp108_edited(set_dots({"P2": 0, "P9": 0}, {}))],
+         "section P1: 'P9' is not another section"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][1].update(name="P1", dots={}))],
+         "two sections are named 'P1'"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):
@@ -260,8 +307,8 @@ def test_malformed_input_exits_2(capsys, argv, named):
 
 def test_fibration_missing_fields_exit_2(capsys):
     base = data_dir()
-    spec = json.load(open(base / "mp108.json"))
-    rel = json.load(open(base / "mp108_relation.json"))
+    spec = json.loads((base / "mp108.json").read_text())
+    rel = json.loads((base / "mp108_relation.json").read_text())
     for field in ("fibres", "zero_section"):
         broken = json.dumps({k: v for k, v in spec.items() if k != field})
         for argv in (["validate"], ["height", "--section", "P1"],

@@ -113,7 +113,7 @@ def test_w12_recorded_congruences(w12):
 def w12_config(w12, labels):
     lat = GramLattice(tuple(map(tuple, w12["gram"])))
     chains = tuple((tuple(w12["curves"][f"F{i}"]),) for i in labels)
-    return ChainConfiguration(lat, 2, chains, torsion_class=tuple(w12["kw"]))
+    return ChainConfiguration(lat, 2, chains)
 
 
 def test_w12_strict_witness_counts(w12):

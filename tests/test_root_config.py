@@ -161,8 +161,7 @@ def test_ag23_torsion_bit_does_not_block_odd_p():
         tuple(v + (int(i == 0 and k == 0),) for k, v in enumerate(chain))
         for i, chain in enumerate(cfg.chains)
     )
-    torsion = (0,) * cfg.ambient.rank + (1,)
-    with_bit = ChainConfiguration(cfg.ambient, 3, chains, torsion_class=torsion)
+    with_bit = ChainConfiguration(cfg.ambient, 3, chains)
     witnesses = find_p_divisible_subsets(with_bit)
     assert witnesses == find_p_divisible_subsets(cfg) and len(witnesses) == 13
 
@@ -172,8 +171,7 @@ def test_torsion_bit_still_counts_for_p2():
     chains = tuple(
         tuple(v + (int(i == 0),) for v in chain) for i, chain in enumerate(cfg.chains)
     )
-    torsion = (0,) * cfg.ambient.rank + (1,)
-    with_bit = ChainConfiguration(cfg.ambient, 2, chains, torsion_class=torsion)
+    with_bit = ChainConfiguration(cfg.ambient, 2, chains)
     expected = [w for w in find_p_divisible_subsets(cfg) if 0 not in w.subset]
     assert find_p_divisible_subsets(with_bit) == expected
     assert len(expected) == 15
@@ -184,13 +182,10 @@ def test_restrict_equals_the_constructor():
     chains = tuple(
         tuple(v + (int(i == 0),) for v in chain) for i, chain in enumerate(cfg.chains)
     )
-    torsion = (0,) * cfg.ambient.rank + (1,)
-    with_bit = ChainConfiguration(cfg.ambient, 2, chains, torsion_class=torsion)
+    with_bit = ChainConfiguration(cfg.ambient, 2, chains)
     members = (5, 0, 9, 3)
     sub = with_bit.restrict(members)
-    assert sub == ChainConfiguration(
-        cfg.ambient, 2, tuple(chains[i] for i in members), torsion_class=torsion
-    )
+    assert sub == ChainConfiguration(cfg.ambient, 2, tuple(chains[i] for i in members))
     # the Gram check runs again: a parent whose chains were overwritten is refused
     object.__setattr__(with_bit, "chains", chains[:1] * 2)
     with pytest.raises(ValueError, match="not orthogonal"):
@@ -284,8 +279,11 @@ def with_torsion_bits(cfg, rng, bits=2):
         tuple(v + tuple(rng.randrange(2) for _ in range(bits)) for v in chain)
         for chain in cfg.chains
     )
-    torsion = (0,) * cfg.ambient.rank + tuple(rng.randrange(2) for _ in range(bits))
-    return ChainConfiguration(cfg.ambient, cfg.p, chains, torsion_class=torsion)
+    # `bits` more draws, so the models drawn after this call stay the ones the
+    # tests were written against
+    for _ in range(bits):
+        rng.randrange(2)
+    return ChainConfiguration(cfg.ambient, cfg.p, chains)
 
 
 def test_search_matches_brute_force_oracle():
@@ -345,40 +343,40 @@ def perturbed_class(rng, v, rank):
 
 def test_gram_check_matches_brute_force_oracle():
     rng = random.Random(2024)
-    cases = []  # (ambient, p, chains, torsion_class)
+    cases = []  # (ambient, p, chains)
     for p in (2, 3, 5, 7):
         for _ in range(4):
             c = rng.randint(2, 4)
             cfg = glue_overlattice(p, c, random_self_orthogonal_code(rng, p, c))[1]
-            cases.append((cfg.ambient, p, cfg.chains, None))
+            cases.append((cfg.ambient, p, cfg.chains))
             tcfg = with_torsion_bits(cfg, rng)
-            cases.append((tcfg.ambient, p, tcfg.chains, tcfg.torsion_class))
+            cases.append((tcfg.ambient, p, tcfg.chains))
     broken, flipped_bits = [], []
-    for ambient, p, chains, torsion in cases:
+    for ambient, p, chains in cases:
         rank = ambient.rank
         # one class moved: some pairing inside its chain (or across) breaks
         i, k = rng.randrange(len(chains)), rng.randrange(p - 1)
         moved = [list(ch) for ch in chains]
         moved[i][k] = perturbed_class(rng, moved[i][k], rank)
-        broken.append((ambient, p, tuple(map(tuple, moved)), torsion))
+        broken.append((ambient, p, tuple(map(tuple, moved))))
         # one chain replaced by a copy of another: every chain is still an
         # A_{p-1} block, but the two are no longer orthogonal
         i, j = rng.sample(range(len(chains)), 2)
         copied = list(chains)
         copied[j] = chains[i]
-        broken.append((ambient, p, tuple(copied), torsion))
+        broken.append((ambient, p, tuple(copied)))
         # the torsion bits alone changed: the pairing must not see them
-        if torsion is not None:
+        if len(chains[0][0]) > rank:
             flipped = tuple(
                 tuple(v[:rank] + tuple(1 - x for x in v[rank:]) for v in ch) for ch in chains
             )
-            flipped_bits.append((ambient, p, flipped, torsion))
+            flipped_bits.append((ambient, p, flipped))
     cases += flipped_bits
     seen = {"valid": 0, "block": 0, "orthogonal": 0}
-    for ambient, p, chains, torsion in cases + broken:
+    for ambient, p, chains in cases + broken:
         expected = brute_force_gram_error(ambient, p, chains)
         try:
-            ChainConfiguration(ambient, p, chains, torsion_class=torsion)
+            ChainConfiguration(ambient, p, chains)
             got = None
         except ValueError as exc:
             got = str(exc)
