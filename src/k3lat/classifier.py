@@ -4,6 +4,8 @@ The two tables (18 rows for the K3 case, 26 for the Enriques case) ship as
 JSON and are the only source of the classification: the classifiers take the
 divisibility facts as *inputs* - computed upstream when lattice data is
 available - and pick the unique row whose p, range of c and conditions fit.
+Every query selects rows by p and c through one matcher, ``_rows``, and the
+admissible primes are worked out from the rank bound c (p - 1) <= 19.
 K3 facts are optional: a missing fact is inferred exactly when one row fits
 (p, c) alone, and any other count of fitting rows is a ``FactsError`` that
 names the rows.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .data import load_json
+from .data import data_dir, load_json
 from .groups import (
     CATALOG_ORDER,
     ExtensionConstraint,
@@ -26,13 +28,17 @@ from .groups import (
     catalog_group,
     filter_extensions,
 )
+from .lattice_core import is_prime
 
 
 class FactsError(ValueError):
     """The supplied facts are inconsistent with, or insufficient for, the tables."""
 
 
-_K3_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# c disjoint A_{p-1} chains span a negative-definite sublattice of rank
+# c (p - 1) in the Picard lattice, of signature (1, rho - 1) with rho <= 20
+_RANK_BOUND = 19
+_K3_PRIMES = tuple(p for p in range(2, _RANK_BOUND + 2) if is_prime(p))
 
 _W_TEXT = {
     "primitive": "the configuration on the quotient surface is primitive",
@@ -125,13 +131,37 @@ def _table_from(table_id: int, source: str) -> tuple[dict, ...]:
 
 
 def _table(table_id: int) -> tuple[dict, ...]:
-    from .data import data_dir
-
     return _table_from(table_id, str(data_dir()))
 
 
-def _row_matches_p(row: dict, p: int) -> bool:
-    return row["p"] == p or (row["p"] == "gt7" and p > 7)
+def _rows(table_id: int, p: Optional[int] = None, c: Optional[int] = None) -> list[dict]:
+    """The rows of a table whose prime is p (a row's "gt7" stands for every
+    p > 7) and whose range of c holds c; None matches every row."""
+    return [
+        r
+        for r in _table(table_id)
+        if (p is None or r["p"] == p or (r["p"] == "gt7" and p > 7))
+        and (c is None or r["c_min"] <= c <= r["c_max"])
+    ]
+
+
+def _realizability(row: dict) -> object:
+    return True if row["realizable"] is True else "unknown"
+
+
+def _table_row(
+    table_id: int, row: dict, p: int, c: int, condition_text: str, sing_y: Optional[str]
+) -> TableRow:
+    return TableRow(
+        table=table_id,
+        number=row["no"],
+        p=p,
+        c=c,
+        condition_text=condition_text,
+        pi1=Pi1Descriptor.from_json(row["pi1"]),
+        sing_y=sing_y,
+        realizable=_realizability(row),
+    )
 
 
 def _unique_row(matches: list[dict], what: str) -> dict:
@@ -157,9 +187,7 @@ def cover_euler_solutions() -> list[tuple[int, int, str]]:
     """
     out = []
     for p in _K3_PRIMES:
-        for c in range(1, 20):
-            if c * (p - 1) > 19:
-                break
+        for c in range(1, _RANK_BOUND // (p - 1) + 1):
             euler = p * (24 - c * p) + c
             if euler == 0:
                 out.append((p, c, "abelian"))
@@ -175,7 +203,7 @@ def admissible_pairs(surface: str) -> list[tuple[int, int]]:
         raise ValueError("surface must be 'K3' or 'Enriques'")
     out = []
     for p in _K3_PRIMES:
-        cs = [r["c_max"] for r in _table(table_id) if _row_matches_p(r, p)]
+        cs = [r["c_max"] for r in _rows(table_id, p)]
         if cs:
             out.append((p, max(cs)))
     return out
@@ -208,25 +236,10 @@ def _render_sing_y(row: dict, p: int, c: int) -> str:
 def k3_classify(inp: K3Input) -> TableRow:
     p, c = inp.p, inp.c
     if p not in _K3_PRIMES:
-        raise FactsError(f"p = {p} is not an admissible prime (needs p <= 19, prime)")
-    matches = [
-        r
-        for r in _table(1)
-        if _row_matches_p(r, p)
-        and r["c_min"] <= c <= r["c_max"]
-        and inp.facts in (None, r["condition"])
-    ]
+        raise FactsError(f"p = {p} is not an admissible prime (needs p <= {_K3_PRIMES[-1]}, prime)")
+    matches = [r for r in _rows(1, p, c) if inp.facts in (None, r["condition"])]
     row = _unique_row(matches, f"p = {p}, c = {c}, facts = {inp.facts}")
-    return TableRow(
-        table=1,
-        number=row["no"],
-        p=p,
-        c=c,
-        condition_text=row["condition_text"],
-        pi1=Pi1Descriptor.from_json(row["pi1"]),
-        sing_y=_render_sing_y(row, p, c),
-        realizable=row["realizable"] if row["realizable"] is True else "unknown",
-    )
+    return _table_row(1, row, p, c, row["condition_text"], _render_sing_y(row, p, c))
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +283,12 @@ def enriques_classify(inp: EnriquesInput) -> TableRow:
     p, c = inp.p, inp.c
     matches = [
         r
-        for r in _table(2)
-        if r["p"] == p
-        and r["c_min"] <= c <= r["c_max"]
-        and r.get("w") in (None, inp.w)
-        and r.get("cover") in (None, inp.cover)
+        for r in _rows(2, p, c)
+        if r.get("w") in (None, inp.w) and r.get("cover") in (None, inp.cover)
     ]
     row = _unique_row(matches, f"p = {p}, c = {c}, w = {inp.w}, cover = {inp.cover}")
     _derive_enriques_group(row, p, c)
-    return TableRow(
-        table=2,
-        number=row["no"],
-        p=p,
-        c=c,
-        condition_text=_enriques_condition_text(row),
-        pi1=Pi1Descriptor.from_json(row["pi1"]),
-        sing_y=None,
-        realizable=row["realizable"] if row["realizable"] is True else "unknown",
-    )
+    return _table_row(2, row, p, c, _enriques_condition_text(row), None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +306,10 @@ def table_lookup(
     """Pure data query over the bundled tables; rows come back as stored."""
     if table_id not in (1, 2):
         raise ValueError("table must be 1 or 2")
-    out = []
-    for r in _table(table_id):
-        if row is not None and r["no"] != row:
-            continue
-        if p is not None and not _row_matches_p(r, p):
-            continue
-        if c is not None and not r["c_min"] <= c <= r["c_max"]:
-            continue
-        if finite is not None and (r["pi1"]["kind"] == "finite") != finite:
-            continue
-        if realizable is not None:
-            stored = r["realizable"] if r["realizable"] is True else "unknown"
-            if stored != realizable:
-                continue
-        out.append(dict(r))
-    return out
+    return [
+        dict(r)
+        for r in _rows(table_id, p, c)
+        if row in (None, r["no"])
+        and finite in (None, r["pi1"]["kind"] == "finite")
+        and realizable in (None, _realizability(r))
+    ]

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import acceptance, classifier, elliptic, finite_geometry, lattice_core, root_config
 from .groups import (
+    DEFAULT_COSET_BOUND,
     MAX_COSET_BOUND,
     EnumerationBound,
     GroupPresentation,
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("op", choices=["build", "normal-count", "iso"])
     grp.add_argument("--group", help="catalog group name")
     grp.add_argument("--presentation", help='{"gens": [...], "rels": [...]} (JSON or file)')
-    grp.add_argument("--bound", type=int, default=10_000,
+    grp.add_argument("--bound", type=int, default=DEFAULT_COSET_BOUND,
                      help=f"coset enumeration bound, at most {MAX_COSET_BOUND}")
     grp.add_argument("--index", type=int, help="subgroup index for normal-count")
     grp.add_argument("--other", help="second group for iso")

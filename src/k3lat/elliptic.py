@@ -4,12 +4,14 @@ height pairing on sections, and exact verification of divisibility relations.
 Only chi = 2 is modelled.  A spec lists the torsion sections it uses, not the
 Mordell-Weil order, and their intersection numbers form one table that is
 checked when the spec is made.  Heights and relation checks both run over
-exact rationals.  A divisibility relation ``lhs = p * rhs`` between formal
-combinations of the zero section, listed sections, a general fibre F and fibre
-components is verified in the formal-radical model: the formal module surjects
-onto the class group, the pairing descends, and the class pairing is
-nondegenerate, so ``lhs - p*rhs`` maps to zero exactly when it pairs to zero
-with every generator.
+exact rationals; a fibre's local height corrections are read off the inverse
+of its own intersection matrix, the block it places in the formal pairing.  A
+divisibility relation ``lhs = p * rhs`` between formal combinations of the
+zero section, listed sections, a general fibre F and fibre components is
+verified in the formal-radical model: the formal module surjects onto the
+class group, the pairing descends, and the class pairing is nondegenerate, so
+``lhs - p*rhs`` maps to zero exactly when it pairs to zero with every
+generator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
+from .lattice_core import GramLattice, bareiss_det, mat_mul, span_coordinates, transpose
 
 FIBRE_SYMBOL = "F"
 CHI = 2  # the Euler characteristic of the structure sheaf of a K3 surface
@@ -28,21 +30,18 @@ CHI = 2  # the Euler characteristic of the structure sheaf of a K3 surface
 # multiplicities and bonds of the additive fibre graphs; components are kept
 # in label order, the zero section meets component 0
 _ADDITIVE = {
-    "I0*": {"mults": (1, 1, 1, 1, 2), "bonds": ((0, 4), (1, 4), (2, 4), (3, 4)), "euler": 6},
+    "I0*": {"mults": (1, 1, 1, 1, 2), "bonds": ((0, 4), (1, 4), (2, 4), (3, 4))},
     "IV*": {
         "mults": (1, 2, 1, 2, 1, 2, 3),
         "bonds": ((0, 1), (2, 3), (4, 5), (1, 6), (3, 6), (5, 6)),
-        "euler": 8,
     },
     "III*": {
         "mults": (1, 2, 3, 4, 3, 2, 1, 2),
         "bonds": ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)),
-        "euler": 9,
     },
     "II*": {
         "mults": (1, 2, 3, 4, 5, 6, 4, 2, 3),
         "bonds": ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)),
-        "euler": 10,
     },
 }
 
@@ -58,21 +57,18 @@ class KodairaFibre:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.kind == "In":
-            if self.n < 1:
-                raise ValueError("In fibres need n >= 1")
-            if len(self.labels) != self.n:
-                raise ValueError(f"fibre {self.fibre_id}: expected {self.n} component labels")
-        elif self.kind in _ADDITIVE:
-            want = len(_ADDITIVE[self.kind]["mults"])
-            if len(self.labels) != want:
-                raise ValueError(f"fibre {self.fibre_id}: expected {want} component labels")
-        else:
-            raise ValueError(f"unknown fibre kind {self.kind!r}")
+        if self.kind != "In" and self.kind not in _ADDITIVE:
+            raise ValueError(f"fibre {self.fibre_id}: unknown fibre kind {self.kind!r}")
+        if self.kind == "In" and self.n < 1:
+            raise ValueError(f"fibre {self.fibre_id}: In fibres need n >= 1")
+        want = len(self.multiplicities)
+        if len(self.labels) != want:
+            raise ValueError(f"fibre {self.fibre_id}: expected {want} component labels")
 
     @property
     def euler(self) -> int:
-        return self.n if self.kind == "In" else _ADDITIVE[self.kind]["euler"]
+        """The number of components, plus one for an additive fibre."""
+        return len(self.labels) + (self.kind != "In")
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -89,6 +85,17 @@ class KodairaFibre:
         if self.n == 2:
             return [(0, 1), (0, 1)]
         return [(i, (i + 1) % self.n) for i in range(self.n)]
+
+    def intersection_matrix(self) -> list[list[int]]:
+        """Intersection numbers of the components: -2 on the diagonal, plus one
+        for each bond (so I1's component has self-intersection 0, and the two
+        components of I2 meet twice)."""
+        n = len(self.labels)
+        M = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in self.bonds():
+            M[i][j] += 1
+            M[j][i] += 1
+        return M
 
     def simple_indices(self) -> list[int]:
         return [i for i, m in enumerate(self.multiplicities) if m == 1]
@@ -121,14 +128,23 @@ class FibrationSpec:
 
     def __post_init__(self):
         ids = [f.fibre_id for f in self.fibres]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate fibre ids")
+        twice = [i for k, i in enumerate(ids) if i in ids[:k]]
+        if twice:
+            raise ValueError(f"duplicate fibre ids: {twice[0]!r}")
         all_labels = [l for f in self.fibres for l in f.labels]
-        if len(set(all_labels)) != len(all_labels):
-            raise ValueError("component labels must be globally unique")
+        twice = [l for k, l in enumerate(all_labels) if l in all_labels[:k]]
+        if twice:
+            raise ValueError(
+                f"component labels must be globally unique: {twice[0]!r} is used twice"
+            )
         names = [self.zero_section] + [s.name for s in self.sections]
-        if {FIBRE_SYMBOL, *names} & set(all_labels):
-            raise ValueError("component labels clash with section or fibre symbols")
+        fibre_of = {l: f.fibre_id for f in self.fibres for l in f.labels}
+        for symbol in (FIBRE_SYMBOL, *names):
+            if symbol in fibre_of:
+                raise ValueError(
+                    f"component label {symbol!r} of fibre {fibre_of[symbol]} clashes "
+                    "with a section or fibre symbol"
+                )
         for s in self.sections:
             for fid, label in s.meets.items():
                 fibre = self.fibre(fid)
@@ -222,9 +238,9 @@ def parse_fibration(obj: dict) -> FibrationSpec:
 def local_contribution(fibre: KodairaFibre, i: int, j: int) -> Fraction:
     """Local correction term of the height pairing for simple components i, j.
 
-    For I_n with components 0..n-1 in cyclic order the term is i(n-j)/n
-    (i <= j as distances from component 0); it vanishes whenever either
-    index is 0.  Additive fibres use the standard constants.
+    The term vanishes when either index is 0; otherwise it is entry (i, j) of
+    the inverse of N, the negated intersection matrix of the components other
+    than 0 (a Cartan matrix), read as the cofactor of (j, i) over det N.
     """
     mults = fibre.multiplicities
     for idx in (i, j):
@@ -234,19 +250,9 @@ def local_contribution(fibre: KodairaFibre, i: int, j: int) -> Fraction:
             raise ValueError(f"component {idx} of {fibre.fibre_id} is not simple")
     if i == 0 or j == 0:
         return Fraction(0)
-    if fibre.kind == "In":
-        a, b = min(i, j), max(i, j)
-        return Fraction(a * (fibre.n - b), fibre.n)
-    if fibre.kind == "I0*":
-        return Fraction(1) if i == j else Fraction(1, 2)
-    if fibre.kind == "IV*":
-        return Fraction(4, 3) if i == j else Fraction(2, 3)
-    if fibre.kind == "III*":
-        if i != j:
-            raise ValueError("III* has a single non-zero simple component")
-        return Fraction(3, 2)
-    # II* has no non-zero simple component, so the earlier checks force i = j = 0
-    return Fraction(0)
+    N = [[-x for x in row[1:]] for row in fibre.intersection_matrix()[1:]]
+    minor = [row[:i - 1] + row[i:] for k, row in enumerate(N) if k != j - 1]
+    return Fraction((-1) ** (i + j) * bareiss_det(minor), bareiss_det(N))
 
 
 def height_pair(P: str, Q: str, spec: FibrationSpec) -> Fraction:
@@ -332,14 +338,9 @@ def formal_gram(spec: FibrationSpec) -> tuple[list[str], list[list[int]]]:
 
     for fibre in spec.fibres:
         base = [pos[l] for l in fibre.labels]
-        for i in base:
-            G[i][i] = -2
-        for i, j in fibre.bonds():
-            if i == j:
-                G[base[i]][base[i]] += 2
-            else:
-                G[base[i]][base[j]] += 1
-                G[base[j]][base[i]] += 1
+        for a, row in zip(base, fibre.intersection_matrix()):
+            for b, x in zip(base, row):
+                G[a][b] = x
         # zero section meets component 0
         G[pos[spec.zero_section]][base[0]] = G[base[0]][pos[spec.zero_section]] = 1
         for s in spec.sections:

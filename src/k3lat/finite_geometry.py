@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .lattice_core import GramLattice, mat_mul, span_coordinates, transpose
+from .lattice_core import GramLattice, is_prime, mat_mul, span_coordinates, transpose
 from .root_config import ChainConfiguration
 
 
@@ -24,8 +24,6 @@ class AffineSpaceModel:
     n: int
 
     def __post_init__(self):
-        from .root_config import _is_prime
-
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         # bounded before the primality test; n <= 16 and p <= 65536 keep p**n small
@@ -33,7 +31,7 @@ class AffineSpaceModel:
             raise ValueError(
                 f"affine space with p = {self.p}, n = {self.n} has more than 65536 points"
             )
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
 
     @property

@@ -46,7 +46,8 @@ class GroupPresentation:
             raise ValueError("duplicate generator names")
 
 
-MAX_WORD_LENGTH = 10_000  # letters in one expanded word, as many as the default coset bound
+DEFAULT_COSET_BOUND = 10_000  # cosets one enumeration may define unless told otherwise
+MAX_WORD_LENGTH = DEFAULT_COSET_BOUND  # letters in one expanded word
 MAX_COSET_BOUND = 1_000_000  # cosets one enumeration may define, at about 140 B each
 
 
@@ -265,7 +266,9 @@ def _multiplication_table(pres: GroupPresentation, bound: int) -> tuple[tuple, d
     return tuple(map(tuple, table)), images
 
 
-def group_from_presentation(pres: GroupPresentation, bound: int = 10_000) -> FiniteGroupTable:
+def group_from_presentation(
+    pres: GroupPresentation, bound: int = DEFAULT_COSET_BOUND
+) -> FiniteGroupTable:
     """Coset enumeration over the trivial subgroup, returning the full table."""
     return FiniteGroupTable(*_multiplication_table(pres, bound))
 
@@ -443,7 +446,8 @@ def catalog_group(name: str) -> FiniteGroupTable:
         return catalog_group("Gamma2c1")
     if name not in _CATALOG_PRESENTATIONS:
         raise ValueError(f"unknown catalog group {name!r}")
-    return FiniteGroupTable(*_multiplication_table(_CATALOG_PRESENTATIONS[name], 10_000), name)
+    pres = _CATALOG_PRESENTATIONS[name]
+    return FiniteGroupTable(*_multiplication_table(pres, DEFAULT_COSET_BOUND), name)
 
 
 # ---------------------------------------------------------------------------

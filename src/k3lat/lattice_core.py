@@ -82,6 +82,25 @@ def bareiss_det(M: Sequence[Sequence[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below _MR_LIMIT
+# (Jiang and Deng, 2014); a larger p is refused, not guessed at
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    if p <= _MR_BASES[-1]:
+        return p in _MR_BASES
+    if p >= _MR_LIMIT:
+        raise ValueError(f"p = {p} is too large for an exact primality test (limit {_MR_LIMIT})")
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in _MR_BASES
+    )
+
+
 def left_kernel_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Basis of {x : x rows = 0 over F_p}, the relations mod p among the rows.
 

@@ -25,6 +25,7 @@ from .lattice_core import (
     AbelianInvariants,
     GramLattice,
     invariant_factors,
+    is_prime,
     left_kernel_mod_p,
 )
 
@@ -34,25 +35,6 @@ class SearchSpaceError(RuntimeError):
 
 
 MAX_CANDIDATES = 10**9  # kernel vectors the divisibility search may enumerate
-
-
-# Miller-Rabin with the primes up to 41 as bases is exact below _MR_LIMIT
-# (Jiang and Deng, 2014); a larger p is refused, not guessed at
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(p: int) -> bool:
-    if p <= _MR_BASES[-1]:
-        return p in _MR_BASES
-    if p >= _MR_LIMIT:
-        raise ValueError(f"p = {p} is too large for an exact primality test (limit {_MR_LIMIT})")
-    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s with d odd
-    d = (p - 1) >> s
-    return all(
-        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
-        for a in _MR_BASES
-    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +52,7 @@ class ChainConfiguration:
     chains: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         object.__setattr__(
             self,
@@ -243,7 +225,7 @@ def odd_p_divisibility_by_finite_index(
     one-directional: a failed hypothesis yields "inconclusive", never a
     claim of indivisibility.
     """
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     if ambient.rank != 10 or not ambient.is_unimodular() or not ambient.is_even():
         raise ValueError("ambient must be an even unimodular lattice of rank 10")

@@ -1,3 +1,7 @@
+import json
+from functools import cache
+from itertools import product
+
 import pytest
 
 from k3lat.classifier import (
@@ -11,6 +15,7 @@ from k3lat.classifier import (
     table_lookup,
     transport_singularities,
 )
+from k3lat.data import data_dir
 
 
 def test_cover_euler_solutions_exact():
@@ -232,3 +237,82 @@ def test_theorem_bound_outside_exceptional_pairs():
                     assert row["pi1"]["kind"] == "finite"
                     order = catalog_group(row["pi1"]["name"]).order
                     assert order <= 2 * p**4
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for table queries, read from the JSON independently
+
+
+@cache
+def _json_rows(table_id):
+    return json.loads((data_dir() / f"table{table_id}.json").read_text())["rows"]
+
+
+def _oracle(table_id, row=None, p=None, c=None, finite=None, realizable=None):
+    """The rows every given filter admits; a row whose prime is "gt7" admits
+    every p above 7, and a row not marked realizable is "unknown"."""
+    return [
+        r
+        for r in _json_rows(table_id)
+        if (row is None or r["no"] == row)
+        and (p is None or r["p"] == p or (r["p"] == "gt7" and p > 7))
+        and (c is None or r["c_min"] <= c <= r["c_max"])
+        and (finite is None or (r["pi1"]["kind"] == "finite") == finite)
+        and (realizable is None or (r["realizable"] if r["realizable"] is True
+                                    else "unknown") == realizable)
+    ]
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+def test_table_lookup_matches_brute_force_oracle():
+    for table_id in (1, 2):
+        for filters in product(
+            [None, 0, 1, 13, 18, 26, 27], [None, *range(24)], [None, *range(22)],
+            [None, True, False], [None, True, "unknown"],
+        ):
+            assert table_lookup(table_id, *filters) == _oracle(table_id, *filters), filters
+        assert table_lookup(table_id) == _json_rows(table_id)
+
+
+def test_admissible_pairs_match_brute_force_oracle():
+    # c (p - 1) <= 19 admits exactly the primes p <= 19
+    primes = [p for p in range(24) if _trial_division_prime(p) and p - 1 <= 19]
+    for surface, table_id in (("K3", 1), ("Enriques", 2)):
+        want = [
+            (p, max(r["c_max"] for r in _oracle(table_id, p=p)))
+            for p in primes
+            if _oracle(table_id, p=p)
+        ]
+        assert admissible_pairs(surface) == want
+
+
+def test_k3_classify_matches_brute_force_oracle():
+    facts = [None, *sorted({r["condition"] for r in _json_rows(1)}), "bogus"]
+    for p, c, fact in product(range(1, 24), range(22), facts):
+        # p = 4, 9 and 21 are not prime, and 23 is above the rank bound
+        rows = [r["no"] for r in _oracle(1, p=p, c=c) if fact in (None, r["condition"])]
+        if _trial_division_prime(p) and p <= 19 and len(rows) == 1:
+            assert k3_classify(K3Input(p, c, fact)).number == rows[0], (p, c, fact)
+        else:
+            with pytest.raises(FactsError):
+                k3_classify(K3Input(p, c, fact))
+
+
+def test_enriques_classify_matches_brute_force_oracle():
+    table = _json_rows(2)
+    ws = [None, *sorted({r["w"] for r in table if r.get("w")})]
+    covers = [None, *sorted({r["cover"] for r in table if r.get("cover")})]
+    for p, c, w, cover in product(range(1, 24), range(22), ws, covers):
+        rows = [
+            r["no"]
+            for r in _oracle(2, p=p, c=c)
+            if r.get("w") in (None, w) and r.get("cover") in (None, cover)
+        ]
+        if len(rows) == 1:
+            assert enriques_classify(EnriquesInput(p, c, w, cover)).number == rows[0]
+        else:
+            with pytest.raises(FactsError):
+                enriques_classify(EnriquesInput(p, c, w, cover))

@@ -276,12 +276,13 @@ def test_malformed_json_exit_2(capsys):
         (["groups", "normal-count", "--group", "D8", "--index", "0"], "--index 0"),
         (["groups", "normal-count", "--group", "D8", "--index", "-2"], "--index -2"),
         (["fibration", "validate", "--spec",
-          mp108_edited(lambda s: s["fibres"][1].update(id="G"))], "duplicate fibre ids"),
+          mp108_edited(lambda s: s["fibres"][1].update(id="G"))], "duplicate fibre ids: 'G'"),
         (["fibration", "validate", "--spec",
           mp108_edited(lambda s: s["fibres"][0]["labels"].__setitem__(1, "P1"))],
-         "component labels clash"),
+         "component label 'P1' of fibre G clashes"),
         (["fibration", "validate", "--spec",
-          mp108_edited(lambda s: s["fibres"][0].update(type="I9*"))], "unknown fibre kind 'I9*'"),
+          mp108_edited(lambda s: s["fibres"][0].update(type="I9*"))],
+         "fibre G: unknown fibre kind 'I9*'"),
         (["fibration", "validate", "--spec",
           mp108_edited(lambda s: s["fibres"][1]["labels"].pop())],
          "fibre A: expected 3 component labels"),
@@ -297,6 +298,15 @@ def test_malformed_json_exit_2(capsys):
         (["fibration", "validate", "--spec",
           mp108_edited(lambda s: s["sections"][1].update(name="P1", dots={}))],
          "two sections are named 'P1'"),
+        # fibre refusals name the fibre or the label at fault
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][1]["labels"].__setitem__(0, "G0"))],
+         "globally unique: 'G0' is used twice"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0]["labels"].__setitem__(1, "F"))],
+         "component label 'F' of fibre G clashes"),
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s["fibres"][0].update(n=0))],
+         "fibre G: In fibres need n >= 1"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -1,4 +1,7 @@
+import re
 from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from k3lat.data import load_json
@@ -59,6 +62,43 @@ def test_local_contribution_rejects_non_simple():
     i10 = KodairaFibre("A", "In", tuple(f"A{i}" for i in range(10)), n=10)
     with pytest.raises(ValueError):
         local_contribution(i10, 10, 0)
+
+
+# the textbook local corrections, as closed forms: i(n - j)/n on I_n for
+# 0 < i <= j, and per additive kind the value on one non-zero simple component
+# and on two distinct ones (II* has none, III* only one)
+ADDITIVE_ORACLE = {
+    "I0*": (5, (0, 1, 2, 3), Fraction(1), Fraction(1, 2), 6),
+    "IV*": (7, (0, 2, 4), Fraction(4, 3), Fraction(2, 3), 8),
+    "III*": (8, (0, 6), Fraction(3, 2), None, 9),
+    "II*": (9, (0,), None, None, 10),
+}
+
+
+def _oracle_fibres():
+    """(fibre, simple component indices, correction(i, j), Euler number)."""
+    for n in range(1, 21):
+        fibre = KodairaFibre(f"I{n}", "In", tuple(f"a{k}" for k in range(n)), n=n)
+        yield fibre, range(n), lambda i, j, n=n: Fraction(min(i, j) * (n - max(i, j)), n), n
+    for kind, (size, simple, same, distinct, euler) in ADDITIVE_ORACLE.items():
+        fibre = KodairaFibre(kind, kind, tuple(f"b{k}" for k in range(size)))
+        yield fibre, simple, lambda i, j, s=same, d=distinct: s if i == j else d, euler
+
+
+def test_local_contribution_matches_closed_form_oracle():
+    for fibre, simple, closed_form, euler in _oracle_fibres():
+        assert fibre.euler == euler
+        size = len(fibre.labels)
+        for i, j in product(range(-1, size + 1), repeat=2):
+            bad = next((k for k in (i, j) if k not in simple), None)
+            if bad is None:
+                want = 0 if 0 in (i, j) else closed_form(i, j)
+                assert local_contribution(fibre, i, j) == want, (fibre.kind, size, i, j)
+                continue
+            message = (f"component {bad} of {fibre.fibre_id} is not simple" if 0 <= bad < size
+                       else f"fibre {fibre.fibre_id} has no component index {bad}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                local_contribution(fibre, i, j)
 
 
 # ---------------------------------------------------------------------------

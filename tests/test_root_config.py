@@ -16,6 +16,7 @@ from k3lat.lattice_core import (
     GramLattice,
     catalog_lattice,
     identity_matrix,
+    is_prime,
     primitive_closure,
 )
 from k3lat import root_config
@@ -410,16 +411,16 @@ def test_is_prime_matches_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    assert [n for n in range(-3, 10**4) if root_config._is_prime(n)] == [
+    assert [n for n in range(-3, 10**4) if is_prime(n)] == [
         n for n in range(-3, 10**4) if trial(n)
     ]
     # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, with a factor each
     for n, factor in ((3215031751, 151), (3825123056546413051, 149491),
                       (318665857834031151167461, 399165290221)):
-        assert n % factor == 0 and not root_config._is_prime(n)
-    assert root_config._is_prime(10**18 + 3) and root_config._is_prime(2**61 - 1)
+        assert n % factor == 0 and not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
     with pytest.raises(ValueError, match="too large"):
-        root_config._is_prime(2**89 - 1)
+        is_prime(2**89 - 1)
 
 
 def test_search_space_guard(monkeypatch):
