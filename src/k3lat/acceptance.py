@@ -76,7 +76,7 @@ def _criterion_2():
         if not inter:
             assert a | b == set(range(16))
 
-    report = finite_geometry.hyperplane_covering_search(space)
+    report = finite_geometry.hyperplane_covering_search()
     assert report.pair_13 is True
     frozen = [frozenset(h) for h in hyps]
     assert sum(1 for h in frozen if h <= frozenset(report.unique_12)) == 1
@@ -85,8 +85,7 @@ def _criterion_2():
 
 
 def _criterion_3():
-    space = finite_geometry.affine_space(3, 2)
-    assert finite_geometry.ag23_unique_six_set(space) is True
+    assert finite_geometry.ag23_unique_six_set() is True
     _, cfg = finite_geometry.ag23_lattice()
     sixes = {
         w.subset
@@ -276,9 +275,7 @@ def _criterion_9():
             spec = elliptic.parse_fibration(
                 {"chi": 2, "fibres": [fobj], "zero_section": "P0", "sections": []}
             )
-            rel = elliptic.divisor_vector(
-                spec, elliptic.fibre_relation(spec, spec.fibres[0])
-            )
+            rel = elliptic.divisor_vector(spec, elliptic.fibre_relation(spec.fibres[0]))
             gens = elliptic.generators(spec)
             for _ in range(10):
                 v = [Fraction(rng.randint(-3, 3)) for _ in gens]

@@ -69,7 +69,6 @@ class Pi1Descriptor:
     kind: str  # "finite" | "infinite_extension"
     name: Optional[str] = None
     kernel_printed: Optional[str] = None
-    kernel_covering: Optional[str] = None
     quotient: Optional[str] = None
 
     @staticmethod
@@ -78,7 +77,6 @@ class Pi1Descriptor:
             kind=obj["kind"],
             name=obj.get("name"),
             kernel_printed=obj.get("kernel_printed"),
-            kernel_covering=obj.get("kernel_covering"),
             quotient=obj.get("quotient"),
         )
 

@@ -205,7 +205,7 @@ def _cmd_geometry(args):
             f"{len(witnesses)} divisible subsets (30 eight-point + the full set)",
         ]
     if args.op == "lemma16":
-        report = finite_geometry.hyperplane_covering_search(finite_geometry.affine_space(2, 4))
+        report = finite_geometry.hyperplane_covering_search()
         payload = {
             "pair_13": report.pair_13,
             "unique_12": list(report.unique_12),
@@ -216,7 +216,7 @@ def _cmd_geometry(args):
             f"12-subset with a unique hyperplane: {list(report.unique_12)}",
             f"11-subset with no hyperplane: {list(report.none_11)}",
         ]
-    ok = finite_geometry.ag23_unique_six_set(finite_geometry.affine_space(3, 2))
+    ok = finite_geometry.ag23_unique_six_set()
     return (0 if ok else 1), {"unique_six_set": ok}, [
         f"every 7-point subset holds exactly one line complement: {ok}"
     ]
@@ -238,7 +238,7 @@ def _cmd_fibration(args):
         return (0 if report.ok else 1), payload, lines
     if args.op == "height":
         h = elliptic.height(_require(args, "section"), spec)
-        return 0, {"section": args.section, "height": _jsonable(h)}, [f"h({args.section}) = {h}"]
+        return 0, {"section": args.section, "height": h}, [f"h({args.section}) = {h}"]
     rel = _load_json_arg(_require(args, "relation"))
     with _fields("relation"):
         lhs = elliptic.parse_divisor(_as_object(rel)["lhs"])
@@ -299,7 +299,7 @@ def _row_payload(row: classifier.TableRow):
         "c": row.c,
         "condition": row.condition_text,
         "pi1": row.pi1.display(),
-        "pi1_order": _jsonable(row.pi1.order()),
+        "pi1_order": row.pi1.order(),
         "sing_y": row.sing_y,
         "realizable": row.realizable,
     }

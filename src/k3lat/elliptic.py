@@ -199,34 +199,52 @@ class FibrationSpec:
             raise ValueError(f"no recorded intersection number for sections {a}, {b}") from None
 
 
+_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, path: str):
+    """``value`` when it has the JSON type ``kind``; else a ValueError naming its path."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
 def parse_fibration(obj: dict) -> FibrationSpec:
-    """Parse the JSON fibration format."""
+    """Parse the JSON fibration format; a field of the wrong JSON type is refused by its path."""
     fibres = []
     for i, f in enumerate(obj["fibres"]):
-        kind = f["type"]
+        at = f"fibres[{i}]"
         fibres.append(
             KodairaFibre(
-                fibre_id=f.get("id", f"fib{i}"),
-                kind=kind,
-                labels=tuple(f["labels"]),
+                kind=_typed(f["type"], str, f"{at}.type"),
+                fibre_id=_typed(f.get("id", f"fib{i}"), str, f"{at}.id"),
+                labels=tuple(
+                    _typed(label, str, f"{at}.labels[{j}]")
+                    for j, label in enumerate(_typed(f["labels"], list, f"{at}.labels"))
+                ),
                 n=int(f.get("n", 0)),
             )
         )
-    sections = tuple(
-        SectionIncidence(
-            name=s["name"],
-            meets=dict(s.get("meets", {})),
-            dot_zero=int(s.get("dot_zero", 0)),
-            dots=dict(s.get("dots", {})),
+    sections = []
+    for i, s in enumerate(obj.get("sections", ())):
+        at = f"sections[{i}]"
+        sections.append(
+            SectionIncidence(
+                name=_typed(s["name"], str, f"{at}.name"),
+                meets={
+                    fid: _typed(label, str, f"{at}.meets[{fid!r}]")
+                    for fid, label in _typed(s.get("meets", {}), dict, f"{at}.meets").items()
+                },
+                dot_zero=int(s.get("dot_zero", 0)),
+                dots=dict(_typed(s.get("dots", {}), dict, f"{at}.dots")),
+            )
         )
-        for s in obj.get("sections", ())
-    )
     if int(obj.get("chi", CHI)) != CHI:
         raise ValueError("only chi = 2 surfaces are modelled")
     return FibrationSpec(
         fibres=tuple(fibres),
-        zero_section=obj["zero_section"],
-        sections=sections,
+        zero_section=_typed(obj["zero_section"], str, "zero_section"),
+        sections=tuple(sections),
         name=obj.get("name"),
     )
 
@@ -386,7 +404,7 @@ def verify_divisibility_relation(spec: FibrationSpec, lhs: dict, p: int, rhs: di
     return in_radical(spec, v)
 
 
-def fibre_relation(spec: FibrationSpec, fibre: KodairaFibre) -> dict:
+def fibre_relation(fibre: KodairaFibre) -> dict:
     """The kernel element sum(m_i C_i) - F attached to one fibre."""
     rel = {label: m for label, m in zip(fibre.labels, fibre.multiplicities)}
     rel[FIBRE_SYMBOL] = -1

@@ -2,10 +2,15 @@
 
 Points of the affine space F_p^n are indexed 0 .. p^n - 1 by their base-p
 expansion (digit j of the index is coordinate j), so every witness a search
-reports is reproducible.  The glue code attached to the space is the
-evaluation code of affine-linear functions; over F_2^4 that is the 32-word
-first-order code with weight distribution 0^1 8^30 16^1, over F_3^2 the
-27-word ternary analogue whose weight-6 supports are the line complements.
+reports is reproducible.  A hyperplane listing is refused when it would hold
+more than ``MAX_HYPERPLANE_MEMBERS`` point indices (functionals x points).
+The glue code attached to the space is the evaluation code of affine-linear
+functions; over F_2^4 that is the 32-word first-order code with weight
+distribution 0^1 8^30 16^1, over F_3^2 the 27-word ternary analogue whose
+weight-6 supports are the line complements.  Gluing it onto orthogonal copies
+of the negative definite A_{p-1} block gives the model lattices.  The
+exhaustive searches are facts of the paper's two models, so each builds its
+own space: the 16-point F_2^4 and the 9-point plane F_3^2.
 """
 
 from __future__ import annotations
@@ -14,7 +19,15 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .lattice_core import GramLattice, is_prime, mat_mul, span_coordinates, transpose
+from .lattice_core import (
+    GramLattice,
+    block_diagonal,
+    cartan_matrix,
+    is_prime,
+    mat_mul,
+    span_coordinates,
+    transpose,
+)
 from .root_config import ChainConfiguration
 
 
@@ -76,21 +89,19 @@ def _monic_functionals(space: AffineSpaceModel):
             yield a
 
 
-# monic functionals x points x (n + HYPERPLANE_POINT_COST) that one enumeration may take:
-# each functional is one pass over the points, n products and a fixed cost per point (the
-# bucket and, from the CLI, the JSON).  Near the cap, (p, n) = (71, 2) runs in 1.0-1.3 s
-# from the CLI with --json and F_2^9 in 0.8-1.1 s (2-vCPU KVM guest, Python 3.11.7)
-HYPERPLANE_POINT_COST = 30
-MAX_HYPERPLANE_WORK = 12_000_000
+# point indices one listing may hold (monic functionals x points), the count that its
+# text and its JSON both print: (71, 2) lists 362,952 and (73, 2), at 394,346, is refused
+MAX_HYPERPLANE_MEMBERS = 375_000
 
 
 def affine_hyperplanes(space: AffineSpaceModel) -> list[PointSubset]:
     """All solution sets of one nontrivial affine-linear equation a.x = b."""
     p, n = space.p, space.n
-    work = (p**n - 1) // (p - 1) * space.size * (n + HYPERPLANE_POINT_COST)
-    if work > MAX_HYPERPLANE_WORK:
+    members = (p**n - 1) // (p - 1) * space.size
+    if members > MAX_HYPERPLANE_MEMBERS:
         raise ValueError(
-            f"hyperplanes of p = {p}, n = {n} take {work} steps, above {MAX_HYPERPLANE_WORK}"
+            f"hyperplanes of p = {p}, n = {n} list {members} point indices, "
+            f"above {MAX_HYPERPLANE_MEMBERS}"
         )
     pts = space.points()
     out = []
@@ -139,19 +150,6 @@ def glue_overlattice(
     is not integral or not even raises ValueError.
     """
     m = c * (p - 1)
-
-    def slot(i: int, k: int) -> int:  # chain i, class index k = 1..p-1
-        return i * (p - 1) + (k - 1)
-
-    # block Gram of the orthogonal chains
-    block = [[0] * m for _ in range(m)]
-    for i in range(c):
-        for a in range(1, p):
-            block[slot(i, a)][slot(i, a)] = -2
-            if a + 1 < p:
-                block[slot(i, a)][slot(i, a + 1)] = 1
-                block[slot(i, a + 1)][slot(i, a)] = 1
-
     # generators in coordinates scaled by p (chain classes become p * e)
     gens = [[p if j == idx else 0 for j in range(m)] for idx in range(m)]
     for w in code:
@@ -159,15 +157,16 @@ def glue_overlattice(
             gens.append([(w[i] * k) % p for i in range(c) for k in range(1, p)])
 
     basis, coords, _ = span_coordinates(gens)
-    gram = mat_mul(mat_mul(basis, block), transpose(basis))
+    chain = [[-x for x in row] for row in cartan_matrix("A", p - 1)]
+    gram = mat_mul(mat_mul(basis, block_diagonal([chain] * c)), transpose(basis))
     if any(x % (p * p) for row in gram for x in row):
         raise ValueError("overlattice is not integral; the glue code is invalid")
     lattice = GramLattice(tuple(tuple(x // (p * p) for x in row) for row in gram))
     if not lattice.is_even():
         raise ValueError("overlattice is not even; the glue code is invalid")
 
-    # generator slot(i, k) is the chain class p * e; its coordinates are the chain's
-    chains = tuple(tuple(tuple(coords[slot(i, k)]) for k in range(1, p)) for i in range(c))
+    # the first m generators are the chain classes, chain by chain; their coordinates are the chains
+    chains = tuple(tuple(map(tuple, coords[i * (p - 1):(i + 1) * (p - 1)])) for i in range(c))
     cfg = ChainConfiguration(ambient=lattice, p=p, chains=chains)
     return lattice, cfg
 
@@ -199,17 +198,15 @@ class HyperplaneSearchReport:
     none_11: tuple[int, ...]
 
 
-def hyperplane_covering_search(space: AffineSpaceModel) -> HyperplaneSearchReport:
+def hyperplane_covering_search() -> HyperplaneSearchReport:
     """Exhaustive facts about hyperplanes inside small point subsets of F_2^4.
 
     - every 13-point subset contains two distinct hyperplanes meeting in 4 points;
     - an explicit 12-point subset containing exactly one hyperplane;
     - an explicit 11-point subset containing no hyperplane.
     """
-    if (space.p, space.n) != (2, 4):
-        raise ValueError("the covering search is specific to the 16-point model")
-    hyps = [frozenset(h.members) for h in affine_hyperplanes(space)]
-    universe = range(space.size)
+    hyps = [frozenset(h.members) for h in affine_hyperplanes(AffineSpaceModel(2, 4))]
+    universe = range(16)
 
     pair_13 = True
     for sub in combinations(universe, 13):
@@ -236,12 +233,10 @@ def hyperplane_covering_search(space: AffineSpaceModel) -> HyperplaneSearchRepor
     return HyperplaneSearchReport(pair_13=pair_13, unique_12=unique_12, none_11=none_11)
 
 
-def ag23_unique_six_set(space: AffineSpaceModel) -> bool:
-    """Every 7-point subset of the 9-point plane contains exactly one line complement."""
-    if (space.p, space.n) != (3, 2):
-        raise ValueError("the unique-six-set check is specific to the 9-point plane")
-    comps = [frozenset(c.members) for c in line_complements(space)]
-    for sub in combinations(range(space.size), 7):
+def ag23_unique_six_set() -> bool:
+    """Every 7-point subset of the 9-point plane F_3^2 contains exactly one line complement."""
+    comps = [frozenset(c.members) for c in line_complements(AffineSpaceModel(3, 2))]
+    for sub in combinations(range(9), 7):
         s = frozenset(sub)
         if sum(1 for c in comps if c <= s) != 1:
             return False

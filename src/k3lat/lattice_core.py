@@ -40,7 +40,7 @@ def transpose(M: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*M)]
 
 
-def _block_diagonal(grams: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
+def block_diagonal(grams: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
     """The block-diagonal matrix with the given square blocks, built in one pass."""
     n = sum(len(g) for g in grams)
     out = []
@@ -414,7 +414,7 @@ class GramLattice:
         return sum(map(mul, self.gram_image(v), w))
 
     def direct_sum(self, other: "GramLattice", name: Optional[str] = None) -> "GramLattice":
-        return GramLattice(_block_diagonal([self.gram, other.gram]), name=name)
+        return GramLattice(block_diagonal([self.gram, other.gram]), name=name)
 
 
 @dataclass(frozen=True)
@@ -542,7 +542,7 @@ def catalog_lattice(name: str) -> GramLattice:
     if name in ("K3", "ENRIQUES_FREE"):
         e8 = _scaled(cartan_matrix("E", 8), -1)
         blocks = [_U_GRAM] * 3 + [e8] * 2 if name == "K3" else [_U_GRAM, e8]
-        return GramLattice(_block_diagonal(blocks), name=name)
+        return GramLattice(block_diagonal(blocks), name=name)
 
     scale = None
     base = name
@@ -597,7 +597,7 @@ def parse_lattice(obj) -> GramLattice:
             if not parts:
                 raise ValueError("'sum' needs at least one lattice")
             return GramLattice(
-                _block_diagonal([p.gram for p in parts]),
+                block_diagonal([p.gram for p in parts]),
                 name=obj.get("name", " + ".join(str(s) for s in items)),
             )
         if "name" in obj:

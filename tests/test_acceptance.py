@@ -43,3 +43,30 @@ def test_selftest_reports_a_crashing_criterion_as_failed(capsys, monkeypatch):
     assert len(fail) == 1 and fail[0].startswith(f"FAIL  criterion {number} ({title})")
     assert fail[0].endswith(": FileNotFoundError: no such file: mp108.json")
     assert lines[-1] == "9/10 criteria passed"
+
+
+def test_selftest_reports_a_failed_assertion_with_its_message(capsys, monkeypatch):
+    """A failed assertion is a FAIL line carrying its message, or "assertion failed"
+    when it has none, and the exit code is 1."""
+    def passes():
+        return "fine"
+
+    def fails_with_message():  # raised by hand: pytest rewrites an assert in this file
+        raise AssertionError("arithmetic is broken")
+
+    def fails_bare():
+        raise AssertionError
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", [
+        (1, "passes", passes), (2, "with message", fails_with_message), (3, "bare", fails_bare),
+    ])
+    code = run(["selftest"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1 and err == "" and "Traceback" not in out
+    assert lines[0].startswith("PASS  criterion 1 (passes)") and lines[0].endswith(": fine")
+    assert lines[1].startswith("FAIL  criterion 2 (with message)")
+    assert lines[1].endswith(": arithmetic is broken")
+    assert lines[2].startswith("FAIL  criterion 3 (bare)")
+    assert lines[2].endswith(": assertion failed")
+    assert lines[3] == "1/3 criteria passed"

@@ -307,6 +307,50 @@ def test_malformed_json_exit_2(capsys):
          "component label 'F' of fibre G clashes"),
         (["fibration", "validate", "--spec", mp108_edited(lambda s: s["fibres"][0].update(n=0))],
          "fibre G: In fibres need n >= 1"),
+        # a fibration field of the wrong JSON type is named by its path
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0].update(id=["G"]))],
+         "bad fibration: fibres[0].id must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0].update(type=["In"]))],
+         "bad fibration: fibres[0].type must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0]["labels"].__setitem__(1, ["G1"]))],
+         "bad fibration: fibres[0].labels[1] must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"][0].update(labels="G0G1"))],
+         "bad fibration: fibres[0].labels must be a list"),
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s.update(zero_section=["P0"]))],
+         "bad fibration: zero_section must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][0].update(name=["P1"]))],
+         "bad fibration: sections[0].name must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][0].update(meets=[["G", "G0"]]))],
+         "bad fibration: sections[0].meets must be an object"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][0]["meets"].update(G=["G0"]))],
+         "bad fibration: sections[0].meets['G'] must be a string"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][0].update(dots=[["P2", 0]]))],
+         "bad fibration: sections[0].dots must be an object"),
+        # refusals of the other commands that no other test reaches
+        (["groups", "build", "--group", "D8", "--presentation", '{"gens":["a"],"rels":["a2"]}'],
+         "give either --group or --presentation, not both"),
+        (["groups", "build", "--presentation", '{"gens":["a","a"],"rels":["a2"]}'],
+         "bad presentation: duplicate generator names"),
+        (["lattice", "closure", "--lattice", '{"gram":[[2,2],[2,2]]}', "--basis", "[[1,0]]"],
+         "degenerate lattice"),
+        (["lattice", "disc", "--lattice", '"A0"'], "bad lattice: A_n needs n >= 1"),
+        (["lattice", "disc", "--lattice", '"D3"'], "bad lattice: D_n needs n >= 4"),
+        (["lattice", "disc", "--lattice", '"E5"'], "bad lattice: E_n needs n in {6, 7, 8}"),
+        (["lattice", "disc", "--lattice", '{"gram":[[2,1],[0,2]]}'],
+         "bad lattice: Gram matrix must be symmetric"),
+        (["config", "divisible", "--config", '{"ambient":"A2","p":2,"chains":[[[1]],[[0]]]}'],
+         "bad configuration: chain vectors shorter than the ambient rank"),
+        (["config", "divisible", "--config",
+          '{"ambient":"A2","p":2,"chains":[[[1,0]],[[0,1,0]]]}'],
+         "bad configuration: inconsistent vector lengths"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -221,7 +221,7 @@ def test_fibre_relations_lie_in_radical():
     for name in BUNDLED:
         spec = spec_of(name)
         for fibre in spec.fibres:
-            v = divisor_vector(spec, fibre_relation(spec, fibre))
+            v = divisor_vector(spec, fibre_relation(fibre))
             assert in_radical(spec, v)
 
 
@@ -292,7 +292,7 @@ def test_radical_agrees_with_fibre_relation_span():
             kernel = rational_kernel(G)
             # the radical is exactly the span of the single fibre relation
             assert len(kernel) == 1
-            rel = divisor_vector(spec, fibre_relation(spec, spec.fibres[0]))
+            rel = divisor_vector(spec, fibre_relation(spec.fibres[0]))
             assert in_radical(spec, rel)
             # random vectors: radical membership == multiple-of-relation
             for _ in range(25):

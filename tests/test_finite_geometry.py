@@ -10,6 +10,7 @@ from k3lat.finite_geometry import (
     ag23_lattice,
     ag23_unique_six_set,
     chain_overlattice,
+    glue_overlattice,
     hyperplane_covering_search,
     kummer_lattice,
     line_complements,
@@ -48,21 +49,55 @@ def test_affine_hyperplane_counts(p, n, count, size):
 
 
 def test_hyperplane_work_cap_boundary(monkeypatch):
-    """The cap admits work equal to it and refuses one step more, before any point is listed."""
+    """The cap admits a listing of its size and refuses one index more, before listing points."""
     space = affine_space(3, 2)
-    work = 4 * 9 * (2 + finite_geometry.HYPERPLANE_POINT_COST)  # functionals x points x (n + k)
-    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work)
+    members = 4 * 9  # functionals x points
+    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_MEMBERS", members)
     assert len(affine_hyperplanes(space)) == 12
-    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_WORK", work - 1)
+    monkeypatch.setattr(finite_geometry, "MAX_HYPERPLANE_MEMBERS", members - 1)
     monkeypatch.setattr(type(space), "points", lambda self: pytest.fail("points were listed"))
-    with pytest.raises(ValueError, match=f"p = 3, n = 2 take {work} steps, above {work - 1}"):
+    with pytest.raises(
+        ValueError, match=f"p = 3, n = 2 list {members} point indices, above {members - 1}"
+    ):
         affine_hyperplanes(space)
 
 
 def test_hyperplane_work_cap_refuses_inputs_far_above_it():
     for p, n in [(2, 16), (251, 2), (3, 8)]:
-        with pytest.raises(ValueError, match=f"p = {p}, n = {n} take"):
+        with pytest.raises(ValueError, match=f"p = {p}, n = {n} list"):
             affine_hyperplanes(affine_space(p, n))
+
+
+def test_hyperplane_bound_splits_spaces_at_the_same_listing_size(monkeypatch):
+    """Every space whose listing holds at most 362,952 point indices (the listing of
+    (71, 2)) gets as far as listing its points, and every space whose listing holds at
+    least 394,346 (that of (73, 2)) is refused before that."""
+    class Listed(Exception):
+        pass
+
+    def listed(self):
+        raise Listed
+
+    monkeypatch.setattr(finite_geometry.AffineSpaceModel, "points", listed)
+    primes = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+    reached, refused = [], []
+    for p, n in [(p, n) for p in primes for n in range(2, 17) if p**n <= 65536]:
+        members = (p**n - 1) // (p - 1) * p**n  # functionals x points
+        assert not 362_952 < members < 394_346, (p, n)
+        if members <= 362_952:
+            with pytest.raises(Listed):
+                affine_hyperplanes(affine_space(p, n))
+            reached.append((p, n))
+        else:
+            with pytest.raises(ValueError, match=f"^hyperplanes of p = {p}, n = {n} "):
+                affine_hyperplanes(affine_space(p, n))
+            refused.append((p, n))
+    assert (71, 2) in reached and (73, 2) in refused
+
+
+def test_glue_overlattice_refuses_odd_glue():
+    with pytest.raises(ValueError, match="not even"):
+        glue_overlattice(2, 4, [[1, 1, 0, 0]])  # the glue (e1 + e2) / 2 has norm -1
 
 
 def test_two_hyperplanes_meet_in_0_or_4():
@@ -136,7 +171,7 @@ def test_affine_space_validation():
 
 def test_hyperplane_covering_search():
     assert sum(1 for _ in combinations(range(16), 13)) == 560  # exhaustive scope
-    report = hyperplane_covering_search(affine_space(2, 4))
+    report = hyperplane_covering_search()
     hyps = [frozenset(h.members) for h in affine_hyperplanes(affine_space(2, 4))]
     assert report.pair_13 is True
     assert len(report.unique_12) == 12
@@ -146,7 +181,7 @@ def test_hyperplane_covering_search():
 
 
 def test_ag23_unique_six_set():
-    assert ag23_unique_six_set(affine_space(3, 2)) is True
+    assert ag23_unique_six_set() is True
 
 
 def test_eight_point_set_with_two_crossing_six_sets():

@@ -214,6 +214,20 @@ def test_associativity_check_matches_every_triple():
     assert (len(squares), accepted) == (56, 6)  # the labellings of Z/5 with identity 0
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (((0, 1), (1,)), "malformed multiplication table"),  # a short row
+        (((0, 1), (1, 2)), "malformed multiplication table"),  # an entry out of range
+        (((1, 0), (0, 1)), "element 0 is not an identity"),
+        (((0, 1, 2), (1, 1, 1), (2, 1, 0)), "element 1 has no inverse"),
+    ],
+)
+def test_table_refusals(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteGroupTable(table)
+
+
 def test_group_tables_are_hashable():
     d8 = catalog_group("D8")
     assert d8.generator_images

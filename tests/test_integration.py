@@ -113,7 +113,7 @@ def test_relation_witness_matches_relation_weights():
 
 def test_sixteen_point_model_drives_the_even_rows():
     _, cfg = kummer_lattice()
-    report = hyperplane_covering_search(affine_space(2, 4))
+    report = hyperplane_covering_search()
     hyperplane = affine_hyperplanes(affine_space(2, 4))[0].members
 
     cases = [
