@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .lattice_core import GramLattice, bareiss_det, mat_mul, span_coordinates, transpose
+from .lattice_core import (
+    GramLattice, identity_matrix, mat_mul, solve_left, span_coordinates, transpose,
+)
 
 FIBRE_SYMBOL = "F"
 CHI = 2  # the Euler characteristic of the structure sheaf of a K3 surface
@@ -76,26 +79,8 @@ class KodairaFibre:
             return (1,) * self.n
         return _ADDITIVE[self.kind]["mults"]
 
-    def bonds(self) -> list[tuple[int, int]]:
-        """Component adjacency with multiplicity (I1 has a self-bond, I2 a double bond)."""
-        if self.kind != "In":
-            return list(_ADDITIVE[self.kind]["bonds"])
-        if self.n == 1:
-            return [(0, 0)]
-        if self.n == 2:
-            return [(0, 1), (0, 1)]
-        return [(i, (i + 1) % self.n) for i in range(self.n)]
-
     def intersection_matrix(self) -> list[list[int]]:
-        """Intersection numbers of the components: -2 on the diagonal, plus one
-        for each bond (so I1's component has self-intersection 0, and the two
-        components of I2 meet twice)."""
-        n = len(self.labels)
-        M = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j in self.bonds():
-            M[i][j] += 1
-            M[j][i] += 1
-        return M
+        return _intersection_matrix(self.kind, len(self.labels))
 
     def simple_indices(self) -> list[int]:
         return [i for i, m in enumerate(self.multiplicities) if m == 1]
@@ -105,6 +90,25 @@ class KodairaFibre:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"fibre {self.fibre_id} has no component {label!r}") from None
+
+
+def _intersection_matrix(kind: str, size: int) -> list[list[int]]:
+    """Intersection numbers of the ``size`` components of a fibre of this kind:
+    -2 on the diagonal, plus one for each bond (so I1's component has
+    self-intersection 0, and the two components of I2 meet twice)."""
+    if kind != "In":
+        bonds = _ADDITIVE[kind]["bonds"]
+    elif size == 1:
+        bonds = [(0, 0)]
+    elif size == 2:
+        bonds = [(0, 1), (0, 1)]
+    else:
+        bonds = [(i, (i + 1) % size) for i in range(size)]
+    M = [[-2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for i, j in bonds:
+        M[i][j] += 1
+        M[j][i] += 1
+    return M
 
 
 @dataclass(frozen=True)
@@ -199,12 +203,13 @@ class FibrationSpec:
             raise ValueError(f"no recorded intersection number for sections {a}, {b}") from None
 
 
-_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
 
 
 def _typed(value, kind: type, path: str):
-    """``value`` when it has the JSON type ``kind``; else a ValueError naming its path."""
-    if not isinstance(value, kind):
+    """``value`` when it has the JSON type ``kind`` (a boolean is no integer);
+    else a ValueError naming its path."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{path} must be {_JSON_TYPE_NAMES[kind]}")
     return value
 
@@ -212,8 +217,9 @@ def _typed(value, kind: type, path: str):
 def parse_fibration(obj: dict) -> FibrationSpec:
     """Parse the JSON fibration format; a field of the wrong JSON type is refused by its path."""
     fibres = []
-    for i, f in enumerate(obj["fibres"]):
+    for i, f in enumerate(_typed(obj["fibres"], list, "fibres")):
         at = f"fibres[{i}]"
+        _typed(f, dict, at)
         fibres.append(
             KodairaFibre(
                 kind=_typed(f["type"], str, f"{at}.type"),
@@ -222,12 +228,13 @@ def parse_fibration(obj: dict) -> FibrationSpec:
                     _typed(label, str, f"{at}.labels[{j}]")
                     for j, label in enumerate(_typed(f["labels"], list, f"{at}.labels"))
                 ),
-                n=int(f.get("n", 0)),
+                n=_typed(f.get("n", 0), int, f"{at}.n"),
             )
         )
     sections = []
-    for i, s in enumerate(obj.get("sections", ())):
+    for i, s in enumerate(_typed(obj.get("sections", []), list, "sections")):
         at = f"sections[{i}]"
+        _typed(s, dict, at)
         sections.append(
             SectionIncidence(
                 name=_typed(s["name"], str, f"{at}.name"),
@@ -235,11 +242,11 @@ def parse_fibration(obj: dict) -> FibrationSpec:
                     fid: _typed(label, str, f"{at}.meets[{fid!r}]")
                     for fid, label in _typed(s.get("meets", {}), dict, f"{at}.meets").items()
                 },
-                dot_zero=int(s.get("dot_zero", 0)),
+                dot_zero=_typed(s.get("dot_zero", 0), int, f"{at}.dot_zero"),
                 dots=dict(_typed(s.get("dots", {}), dict, f"{at}.dots")),
             )
         )
-    if int(obj.get("chi", CHI)) != CHI:
+    if _typed(obj.get("chi", CHI), int, "chi") != CHI:
         raise ValueError("only chi = 2 surfaces are modelled")
     return FibrationSpec(
         fibres=tuple(fibres),
@@ -258,7 +265,7 @@ def local_contribution(fibre: KodairaFibre, i: int, j: int) -> Fraction:
 
     The term vanishes when either index is 0; otherwise it is entry (i, j) of
     the inverse of N, the negated intersection matrix of the components other
-    than 0 (a Cartan matrix), read as the cofactor of (j, i) over det N.
+    than 0 (a Cartan matrix), which is worked out once per fibre type.
     """
     mults = fibre.multiplicities
     for idx in (i, j):
@@ -268,9 +275,15 @@ def local_contribution(fibre: KodairaFibre, i: int, j: int) -> Fraction:
             raise ValueError(f"component {idx} of {fibre.fibre_id} is not simple")
     if i == 0 or j == 0:
         return Fraction(0)
-    N = [[-x for x in row[1:]] for row in fibre.intersection_matrix()[1:]]
-    minor = [row[:i - 1] + row[i:] for k, row in enumerate(N) if k != j - 1]
-    return Fraction((-1) ** (i + j) * bareiss_det(minor), bareiss_det(N))
+    return Fraction(_cartan_inverse(fibre.kind, len(mults))[i - 1][j - 1])
+
+
+@cache
+def _cartan_inverse(kind: str, size: int) -> tuple[tuple, ...]:
+    """N^-1 for a fibre of this kind with ``size`` components: its rows solve
+    x N = e_k, and all of them share one reduction of N."""
+    N = [[-x for x in row[1:]] for row in _intersection_matrix(kind, size)[1:]]
+    return tuple(tuple(solve_left(N, e)) for e in identity_matrix(len(N)))
 
 
 def height_pair(P: str, Q: str, spec: FibrationSpec) -> Fraction:

@@ -4,8 +4,11 @@ Everything here runs on plain Python integers (arbitrary precision, so
 intermediate blow-up in a Smith reduction can never wrap around).  All
 exact linear algebra over Z goes through one Smith reduction, which logs
 its row and column operations; each reader replays only the transforms it
-reads.  `fractions.Fraction` appears only in the result of `solve_left`,
-whose solutions may be rational.
+reads.  `fractions.Fraction` appears only in a non-integral solution of
+`solve_left`; an integral one comes back as ints.  `solve_left` and
+`lattice_row_basis` share one memo of the last reduction, because their
+callers solve many right-hand sides in a row against one matrix; holding
+one matrix keeps no work across unrelated calls.
 Matrices are lists of lists of ints; the public domain types freeze their
 data into tuples and are safe to share between threads.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -277,32 +281,48 @@ def invariant_factors(M: Sequence[Sequence[int]]) -> list[int]:
     return _diagonal(_smith(M)[0]) if M else []
 
 
-def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list[Fraction]]:
+@lru_cache(maxsize=1)
+def _reduction(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple, tuple]:
+    """(nonzero diagonal, row log, column log) of `_smith` for the matrix ``key``;
+    one entry, the last matrix reduced (see the module docstring)."""
+    D, rows, cols = _smith(key)
+    return tuple(_diagonal(D)), tuple(rows), tuple(cols)
+
+
+def _reduce(M: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, tuple]:
+    return _reduction(tuple(tuple(map(int, row)) for row in M))
+
+
+def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list]:
     """Solve x B = target exactly; None if target is not in the rational row space.
 
     With D = P B Q the system reads y D = target Q for y = x P^-1, which is
     solvable iff (target Q)_j = 0 beyond the rank, and then y_i =
     (target Q)_i / d_i.  Over a common denominator only integers are used.
     For x = y P the row log, read backwards, acts on y as y_j -= q y_i.
+    An integral x is returned as ints, and only a non-integral one as
+    Fractions.  The reduction of B is memoised for the next call, so a run
+    of right-hand sides against one B reduces it once.
     """
-    D, rows, cols = _smith(B)
-    d = _diagonal(D)
+    d, rows, cols = _reduce(B)
     tq = _replay_cols(cols, [list(target)])[0]
     if any(tq[len(d):]):
         return None
     den = d[-1] if d else 1  # every d_i divides the last one
     y = [tq[i] * (den // d[i]) for i in range(len(d))] + [0] * (len(B) - len(d))
     x = _replay_cols(((j, i, q) for i, j, q in reversed(rows)), [y])[0]
+    if all(v % den == 0 for v in x):
+        return [v // den for v in x]
     return [Fraction(v, den) for v in x]
 
 
 def lattice_row_basis(gens: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis for the lattice generated by the given (possibly dependent) rows:
-    the first r rows of P gens."""
+    the first r rows of P gens.  Shares `solve_left`'s memo of the reduction."""
     if not gens:
         return []
-    D, rows, _ = _smith(gens)
-    return _replay_rows(rows, copy_matrix(gens))[: len(_diagonal(D))]
+    d, rows, _ = _reduce(gens)
+    return _replay_rows(rows, copy_matrix(gens))[: len(d)]
 
 
 def span_coordinates(gens: Sequence[Sequence[int]]) -> tuple[list, list, list]:

@@ -351,6 +351,28 @@ def test_malformed_json_exit_2(capsys):
         (["config", "divisible", "--config",
           '{"ambient":"A2","p":2,"chains":[[[1,0]],[[0,1,0]]]}'],
          "bad configuration: inconsistent vector lengths"),
+        # the containers around fibres and sections, and integer fields given as strings
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s.update(fibres={"G": s["fibres"][0]}))],
+         "bad fibration: fibres must be a list"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["fibres"].__setitem__(0, "G"))],
+         "bad fibration: fibres[0] must be an object"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s.update(sections={"P1": s["sections"][0]}))],
+         "bad fibration: sections must be a list"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"].__setitem__(0, "P1"))],
+         "bad fibration: sections[0] must be an object"),
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s["fibres"][0].update(n="two"))],
+         "bad fibration: fibres[0].n must be an integer"),
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s["fibres"][0].update(n="2"))],
+         "bad fibration: fibres[0].n must be an integer"),
+        (["fibration", "validate", "--spec",
+          mp108_edited(lambda s: s["sections"][0].update(dot_zero="0"))],
+         "bad fibration: sections[0].dot_zero must be an integer"),
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s.update(chi="2"))],
+         "bad fibration: chi must be an integer"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from k3lat import elliptic, finite_geometry
+from k3lat import elliptic, finite_geometry, lattice_core
 from k3lat.data import data_dir
 from k3lat.lattice_core import (
     AbelianInvariants,
@@ -15,6 +15,7 @@ from k3lat.lattice_core import (
     DegenerateLatticeError,
     EmbeddedSublattice,
     GramLattice,
+    _reduction,
     _smith,
     bareiss_det,
     catalog_lattice,
@@ -157,7 +158,8 @@ def test_full_rank22_catalog_discriminants():
     assert discriminant_group(big).factors == (5,)
 
 
-def test_solve_left_matches_rank_oracle():
+def rank_oracle_cases():
+    """200 seeded (B, target) systems: dependent and zero rows, rational and random targets."""
     rng = random.Random(17)
     for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
@@ -172,14 +174,101 @@ def test_solve_left_matches_rank_oracle():
             target = vec_mat(x0, B)
         else:
             target = [rng.randint(-6, 6) for _ in range(n)]
+        yield B, target
+
+
+def test_solve_left_matches_rank_oracle():
+    for B, target in rank_oracle_cases():
         x = solve_left(B, target)
         rank = len(minor_gcd_diagonal(B))
         scaled = [int(t * 12) for t in target]  # denominators divide 12
         rises = len(minor_gcd_diagonal(B + [scaled])) > rank
         assert (x is None) == rises, (B, target)
         if x is not None:
-            assert len(x) == m
+            assert len(x) == len(B)
             assert vec_mat(x, B) == target
+
+
+def test_solve_left_returns_ints_exactly_when_integral():
+    """Against the pinned answers of the Fraction-only solver: equal values, and
+    ints exactly where every entry of that answer had denominator 1."""
+    pins = json.loads((Path(__file__).parent / "data" / "solve_pins.json").read_text())["answers"]
+    cases = list(rank_oracle_cases())
+    assert len(pins) == len(cases) == 200
+    kinds = set()
+    for (B, target), pin in zip(cases, pins):
+        x = solve_left(B, target)
+        if pin is None:
+            assert x is None
+            continue
+        want = [Fraction(v) for v in pin]
+        assert x == want, (B, target)
+        integral = all(v.denominator == 1 for v in want)
+        assert all(type(v) is int for v in x) == integral
+        assert integral or all(type(v) is Fraction for v in x)
+        kinds.add(integral)
+    assert kinds == {True, False}
+
+
+def test_solve_left_memo_follows_its_input():
+    """The memo holds one reduction; alternating matrices, a B changed in place
+    and a caller changing a returned list all give the answers of a cleared memo."""
+    def fresh(fn, *args):
+        _reduction.cache_clear()
+        return fn(*args)
+
+    A = [[2, 0], [0, 3]]
+    B = [[1, 1], [0, 2], [1, 3]]
+    want_a, want_b = fresh(lattice_row_basis, A), fresh(lattice_row_basis, B)
+    for _ in range(3):  # two matrices in turn: each call replaces the memo
+        assert solve_left(A, [2, 3]) == [1, 1]
+        assert solve_left(B, [1, 3]) == [1, 1, 0]
+        assert lattice_row_basis(A) == want_a
+        assert lattice_row_basis(B) == want_b
+    assert solve_left(A, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    A[0][0] = 4  # changed in place after a call: the key is taken afresh
+    assert solve_left(A, [2, 3]) == [Fraction(1, 2), 1]
+    A[1] = [0, 0]
+    assert solve_left(A, [2, 3]) is None
+    assert lattice_row_basis(A) == fresh(lattice_row_basis, A) == [[4, 0]]
+    x = solve_left(B, [1, 3])
+    x[0] = 99  # a returned list is the caller's own
+    assert solve_left(B, [1, 3]) == [1, 1, 0]
+    basis = lattice_row_basis(B)
+    basis[0][0] += 5
+    assert lattice_row_basis(B) == want_b
+    assert fresh(solve_left, B, [1, 3]) == [1, 1, 0]
+
+
+def class_lattice_by_solves(spec):
+    """The class lattice as the bench builds it: the row basis of the formal
+    Gram G, one solve against G per basis row, one against the basis per generator."""
+    gens, G = elliptic.formal_gram(spec)
+    rows = [list(r) for r in G]
+    basis = lattice_row_basis(rows)
+    coords = [solve_left(rows, b) for b in basis]
+    gram = tuple(tuple(sum(x * y for x, y in zip(c, b)) for b in basis) for c in coords)
+    images = {g: tuple(solve_left(basis, row)) for g, row in zip(gens, rows)}
+    return gram, images
+
+
+def test_bench_solve_pattern_reduces_each_matrix_once(monkeypatch):
+    """Two Smith reductions per bundled spec, G and its row basis, on every pass."""
+    names = ["mp1", "mp9", "mp29", "mp30", "mp39", "mp64", "mp108", "double_iv_star"]
+    specs = [elliptic.parse_fibration(json.loads((data_dir() / f"{n}.json").read_text()))
+             for n in names]
+    calls = []
+    real = lattice_core._smith
+    monkeypatch.setattr(lattice_core, "_smith", lambda M: calls.append(1) or real(M))
+    _reduction.cache_clear()
+    for _ in range(2):
+        for spec in specs:
+            before = len(calls)
+            gram, images = class_lattice_by_solves(spec)
+            assert len(calls) - before == 2, spec.name
+            lattice, want = elliptic.class_lattice(spec)
+            assert gram == lattice.gram and images == want
+            assert all(type(v) is int for image in images.values() for v in image)
 
 
 # ---------------------------------------------------------------------------
