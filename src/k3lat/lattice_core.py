@@ -8,7 +8,12 @@ reads.  `fractions.Fraction` appears only in a non-integral solution of
 `solve_left`; an integral one comes back as ints.  `solve_left` and
 `lattice_row_basis` share one memo of the last reduction, because their
 callers solve many right-hand sides in a row against one matrix; holding
-one matrix keeps no work across unrelated calls.
+one matrix keeps no work across unrelated calls.  The memo key is the
+matrix as given, as ``tuple(map(tuple, M))``, so building and hashing it
+run in C; equal entries of another type (True for 1, 2.0 for 2) hit the
+same entry.  The reduction copies its input, and the copy (`copy_matrix`)
+checks it: a float or Fraction that is not an integer is refused with a
+ValueError naming its row and column, where int() would truncate it.
 Matrices are lists of lists of ints; the public domain types freeze their
 data into tuples and are safe to share between threads.
 """
@@ -19,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -32,8 +38,20 @@ class DegenerateLatticeError(ValueError):
 # basic exact matrix helpers
 
 
+def _entry(x, i: int, j: int) -> int:
+    """int(x) for the entry at row i, column j; a float or Fraction must be
+    integral, since int() would truncate it."""
+    if isinstance(x, (float, Fraction)) and x % 1:
+        raise ValueError(f"row {i}, column {j}: {x!r} is not an integer")
+    return int(x)
+
+
 def copy_matrix(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[int(x) for x in row] for row in M]
+    """A fresh copy of M with int entries; one type scan, in C, passes an int matrix as it is."""
+    A = [list(row) for row in M]
+    if {int}.issuperset(map(type, chain.from_iterable(A))):
+        return A
+    return [[_entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(A)]
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -154,6 +172,12 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
     Log entry (i, j, q) means line i -= q * line j and (i, j, None) swaps them;
     the sign fix of pivot t is (t, t, 2).  Since P M = D Q^-1, the first r rows
     of P M are d_i times rows of Q^-1, a basis of the span of M; the rest vanish.
+
+    The rows above pivot t are finished, zero off the diagonal, so a column
+    operation of sweep t skips them; and col_j -= q * col_t leaves every row
+    with a 0 in column t as it is, so it runs over the live rows alone: those
+    from t down with a nonzero in column t, fixed for the sweep because its
+    column operations change only columns past t.
     """
     A = copy_matrix(M)
     m = len(A)
@@ -167,11 +191,6 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         rows.append((i, j, q))
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        cols.append((i, j, q))
 
     def move_min_pivot(t) -> bool:
         # smallest |entry|, ties to the first in row-major order; a unit ends the scan
@@ -193,7 +212,7 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
             A[t], A[i] = A[i], A[t]
             rows.append((t, i, None))
         if j != t:
-            for row in A:
+            for row in A[t:]:
                 row[t], row[j] = row[j], row[t]
             cols.append((t, j, None))
         return True
@@ -209,9 +228,13 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
                 if A[i][t] != 0:
                     row_op(i, t, _balanced_quotient(A[i][t], A[t][t]))
                     touched = True
+            live = [row for row in A[t:] if row[t]]  # the rows col_j -= q * col_t changes
             for j in range(t + 1, n):
                 if A[t][j] != 0:
-                    col_op(j, t, _balanced_quotient(A[t][j], A[t][t]))
+                    q = _balanced_quotient(A[t][j], A[t][t])
+                    for row in live:
+                        row[j] -= q * row[t]
+                    cols.append((j, t, q))
                     touched = True
             if touched:
                 move_min_pivot(t)
@@ -243,16 +266,14 @@ def _replay_rows(log: Iterable[tuple], M: list[list[int]]) -> list[list[int]]:
     return M
 
 
-def _replay_cols(log: Iterable[tuple], M: list[list[int]]) -> list[list[int]]:
-    """Apply the logged column operations, in order, to the columns of M (in place)."""
+def _replay_vec(log: Iterable[tuple], v: list) -> list:
+    """Apply the logged operations, in order, to the entries of v (in place)."""
     for i, j, q in log:
         if q is None:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
+            v[i], v[j] = v[j], v[i]
         else:
-            for row in M:
-                row[i] -= q * row[j]
-    return M
+            v[i] -= q * v[j]
+    return v
 
 
 def smith_normal_form(
@@ -267,7 +288,7 @@ def smith_normal_form(
     """
     D, rows, cols = _smith(M)
     P = _replay_rows(rows, identity_matrix(len(D)))
-    Q = _replay_cols(cols, identity_matrix(len(D[0])))
+    Q = transpose(_replay_rows(cols, identity_matrix(len(D[0]))))  # column operations, as rows of I^T
     return D, P, Q
 
 
@@ -290,7 +311,7 @@ def _reduction(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple
 
 
 def _reduce(M: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, tuple]:
-    return _reduction(tuple(tuple(map(int, row)) for row in M))
+    return _reduction(tuple(map(tuple, M)))
 
 
 def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list]:
@@ -305,12 +326,12 @@ def solve_left(B: Sequence[Sequence[int]], target: Sequence) -> Optional[list]:
     of right-hand sides against one B reduces it once.
     """
     d, rows, cols = _reduce(B)
-    tq = _replay_cols(cols, [list(target)])[0]
+    tq = _replay_vec(cols, list(target))
     if any(tq[len(d):]):
         return None
     den = d[-1] if d else 1  # every d_i divides the last one
     y = [tq[i] * (den // d[i]) for i in range(len(d))] + [0] * (len(B) - len(d))
-    x = _replay_cols(((j, i, q) for i, j, q in reversed(rows)), [y])[0]
+    x = _replay_vec(((j, i, q) for i, j, q in reversed(rows)), y)
     if all(v % den == 0 for v in x):
         return [v // den for v in x]
     return [Fraction(v, den) for v in x]
@@ -332,11 +353,12 @@ def span_coordinates(gens: Sequence[Sequence[int]]) -> tuple[list, list, list]:
     P [gens | I] are [basis | combos], with basis[i] = combos[i] gens, and
     coords[j][i] = (gens Q)[j][i] / d_i is exact, with gens[j] = coords[j] basis.
     """
+    gens = copy_matrix(gens)
     D, rows, cols = _smith(gens)
     d = _diagonal(D)
     n = len(D[0])
-    pg = _replay_rows(rows, [list(g) + e for g, e in zip(gens, identity_matrix(len(D)))])[: len(d)]
-    gq = _replay_cols(cols, copy_matrix(gens))
+    pg = _replay_rows(rows, [g + e for g, e in zip(gens, identity_matrix(len(D)))])[: len(d)]
+    gq = transpose(_replay_rows(cols, transpose(gens)))  # column operations, as rows of gens^T
     assert all(x % di == 0 for row in gq for x, di in zip(row, d))
     coords = [[x // di for x, di in zip(row, d)] for row in gq]
     return [row[:n] for row in pg], coords, [row[n:] for row in pg]
@@ -382,7 +404,7 @@ class GramLattice:
     name: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gram", tuple(tuple(int(x) for x in row) for row in self.gram))
+        object.__setattr__(self, "gram", tuple(map(tuple, copy_matrix(self.gram))))
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise ValueError("Gram matrix must be square")
@@ -449,7 +471,7 @@ class EmbeddedSublattice:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(tuple(int(x) for x in v) for v in self.basis))
+        object.__setattr__(self, "basis", tuple(map(tuple, copy_matrix(self.basis))))
         for v in self.basis:
             if len(v) != self.ambient.rank:
                 raise ValueError("basis vector length must equal the ambient rank")
@@ -589,8 +611,7 @@ def parse_lattice(obj) -> GramLattice:
         return catalog_lattice(obj)
     if isinstance(obj, dict):
         if "gram" in obj:
-            lat = GramLattice(tuple(tuple(int(x) for x in row) for row in obj["gram"]),
-                              name=obj.get("name"))
+            lat = GramLattice(obj["gram"], name=obj.get("name"))
             if lat.name is not None:
                 try:
                     expected = catalog_lattice(lat.name)

@@ -1,8 +1,8 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -112,6 +112,86 @@ def test_snf_handles_larger_entries_and_sizes():
         n = rng.randint(8, 14)
         M = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         snf_diag(M)
+
+
+def smith_log_cases():
+    """300 seeded matrices, 60 of each kind: dense, sparse, no unit entry (so
+    pivots start non-unit), dependent rows, and entries up to 10**6."""
+    rng = random.Random(31)
+    for kind in ("dense", "sparse", "nonunit", "dependent", "large"):
+        for k in range(60):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            if kind == "dense":
+                M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            elif kind == "sparse":
+                M = [[rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)]
+                     for _ in range(m)]
+            elif kind == "nonunit":
+                M = [[rng.choice([0, 2, -2, 3, -3, 4, 6, -6, 9, 10, -15]) for _ in range(n)]
+                     for _ in range(m)]
+            elif kind == "dependent":
+                base = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, m))]
+                M = [[sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)]
+                     for cs in ([rng.randint(-3, 3) for _ in base] for _ in range(m))]
+            else:
+                M = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(m)]
+            yield f"{kind}{k}", M
+
+
+SMITH_LOG_FIBRATIONS = ["mp1", "mp9", "mp29", "mp30", "mp39", "mp64", "mp108", "double_iv_star"]
+
+
+def test_smith_logs_are_pinned():
+    """D, P, Q and both operation logs, exactly as pinned, for the seeded matrices
+    and the 16 matrices one `fibration_rows` op list reduces: each bundled
+    formal Gram and its row basis."""
+    pins = json.loads((Path(__file__).parent / "data" / "smith_log_pins.json").read_text())
+    cases = list(smith_log_cases())
+    for n in SMITH_LOG_FIBRATIONS:
+        spec = elliptic.parse_fibration(json.loads((data_dir() / f"{n}.json").read_text()))
+        gram = [list(row) for row in elliptic.formal_gram(spec)[1]]
+        cases += [(f"{n}_formal_gram", gram), (f"{n}_row_basis", lattice_row_basis(gram))]
+    assert [(c["name"], c["M"]) for c in pins] == cases
+    for pin in pins:
+        M = pin["M"]
+        D, rows, cols = _smith(M)
+        assert D == pin["D"], pin["name"]
+        assert [list(e) for e in rows] == pin["rows"], pin["name"]
+        assert [list(e) for e in cols] == pin["cols"], pin["name"]
+        assert list(smith_normal_form(M)) == [pin["D"], pin["P"], pin["Q"]], pin["name"]
+
+
+def leibniz_det(M):
+    """Independent determinant oracle: the sum over permutations, signed by inversions."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_bareiss_det_matches_leibniz_oracle():
+    """Dense, singular and swap-forcing matrices up to 6 x 6, entries up to 10**6."""
+    rng = random.Random(41)
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 2, 1], [3, 0, 0], [0, 0, 5]], [[7]]]
+    for k in range(240):
+        n = rng.randint(1, 6)
+        bound = 10**6 if k % 3 == 0 else 9
+        M = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if k % 4 == 1 and n > 1:  # singular: one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            M[i] = [rng.randint(-3, 3) * x for x in M[j]]
+        elif k % 4 == 2 and n > 1:  # zero leading pivot, nonzero below it: a swap
+            M[0][0] = 0
+            M[rng.randrange(1, n)][0] = rng.choice([-1, 1]) * rng.randint(1, bound)
+        elif k % 4 == 3 and n > 2:  # the second pivot vanishes after the first step
+            M[1] = [2 * x for x in M[0][:2]] + M[1][2:]
+        cases.append(M)
+    dets = [bareiss_det(M) for M in cases]
+    assert dets == [leibniz_det(M) for M in cases]
+    assert {d == 0 for d in dets} == {True, False}
+    assert bareiss_det([]) == 1
 
 
 def test_left_kernel_mod_p_matches_brute_force():
@@ -238,6 +318,24 @@ def test_solve_left_memo_follows_its_input():
     basis[0][0] += 5
     assert lattice_row_basis(B) == want_b
     assert fresh(solve_left, B, [1, 3]) == [1, 1, 0]
+
+
+def test_solve_left_memo_ignores_the_container_and_bool_entries():
+    """One matrix as a list, as a tuple of tuples, and with a bool for a 1 gives
+    the answers of the int list, whichever fills the memo first."""
+    B = [[1, 0, 1], [0, 2, 4], [1, 2, 5]]
+    forms = [B, tuple(map(tuple, B)), [[True, False, True], [0, 2, 4], [True, 2, 5]]]
+    for first in forms:
+        _reduction.cache_clear()
+        solve_left(first, [1, 2, 5])
+        for form in forms:
+            for target, want in (([1, 2, 5], [1, 1, 0]),
+                                 ([1, 1, 3], [Fraction(1), Fraction(1, 2), Fraction(0)])):
+                x = solve_left(form, target)
+                assert x == want and list(map(type, x)) == list(map(type, want))
+            basis = lattice_row_basis(form)
+            assert basis == [[1, 0, 1], [0, 2, 4]]
+            assert all(type(v) is int for row in basis for v in row)
 
 
 def class_lattice_by_solves(spec):
@@ -433,6 +531,37 @@ def test_span_readers_are_pinned():
     assert gram == pin["gens"]
     basis, coords, combos = span_coordinates(gram)
     assert (basis, coords, combos) == (pin["basis"], pin["coords"], pin["combos"])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: solve_left([[Fraction(3, 2)]], [3]), r"row 0, column 0: Fraction\(3, 2\)"),
+    (lambda: bareiss_det([[1.5, 0], [0, 2]]), r"row 0, column 0: 1\.5"),
+    (lambda: lattice_row_basis([[Fraction(1, 2), 0]]), r"row 0, column 0: Fraction\(1, 2\)"),
+    (lambda: GramLattice(((Fraction(-5, 2),),)), r"row 0, column 0: Fraction\(-5, 2\)"),
+    (lambda: bareiss_det([[1, 0, 0], [0, 1, 0.25], [0, 0, 1]]), r"row 1, column 2: 0\.25"),
+    (lambda: smith_normal_form([[1], [float("nan")]]), "row 1, column 0: nan"),
+    (lambda: span_coordinates([[1, float("inf")]]), "row 0, column 1: inf"),
+    (lambda: EmbeddedSublattice(catalog_lattice("A2"), ((1, Fraction(1, 3)),)),
+     r"row 0, column 1: Fraction\(1, 3\)"),
+    (lambda: parse_lattice({"gram": [[-2, 0.5], [0.5, -2]]}), r"row 0, column 1: 0\.5"),
+], ids=["solve_left", "bareiss_det", "lattice_row_basis", "GramLattice", "bareiss_det_row1",
+        "smith_nan", "span_inf", "EmbeddedSublattice", "parse_lattice"])
+def test_non_integral_entry_is_refused_not_truncated(call, message):
+    """int() would truncate the entry; the ValueError names its row and column."""
+    with pytest.raises(ValueError, match=message + " is not an integer"):
+        call()
+
+
+def test_integral_floats_and_fractions_pass_as_ints():
+    assert solve_left([[Fraction(4, 2)]], [4]) == [2]
+    det = bareiss_det([[2.0, 0], [0, Fraction(6, 2)]])
+    assert det == 6 and type(det) is int
+    assert lattice_row_basis([[2.0, 0], [True, 1]]) == [[1, 1], [0, 2]]
+    lat = GramLattice(((Fraction(-4, 2), 1.0), (True, -2)))
+    assert lat.gram == ((-2, 1), (1, -2))
+    assert all(type(v) is int for row in lat.gram for v in row)
+    basis, coords, combos = span_coordinates([[2.0, 0], [0, Fraction(3)]])
+    assert all(type(v) is int for m in (basis, coords, combos) for row in m for v in row)
 
 
 # ---------------------------------------------------------------------------
