@@ -4,7 +4,13 @@ Everything here runs on plain Python integers (arbitrary precision, so
 intermediate blow-up in a Smith reduction can never wrap around).  All
 exact linear algebra over Z goes through one Smith reduction, which logs
 its row and column operations; each reader replays only the transforms it
-reads.  `fractions.Fraction` appears only in a non-integral solution of
+reads.  A row operation, in the reduction or in a replay, updates the
+target row in place over the nonzero entries of the source row alone: a
+zero entry of the source leaves the target's entry as it is, so the
+result, and the order of the logged operations, are those of the whole-row
+update.  It pays because the source rows are sparse: a row of a replay
+that starts from I, or of a formal Gram, has few nonzero entries.
+`fractions.Fraction` appears only in a non-integral solution of
 `solve_left`; an integral one comes back as ints.  `solve_left` and
 `lattice_row_basis` share one memo of the last reduction, because their
 callers solve many right-hand sides in a row against one matrix; holding
@@ -24,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -38,11 +44,12 @@ class DegenerateLatticeError(ValueError):
 # basic exact matrix helpers
 
 
-def _entry(x, i: int, j: int) -> int:
-    """int(x) for the entry at row i, column j; a float or Fraction must be
-    integral, since int() would truncate it."""
+def checked_int(x, *where: tuple[str, int]) -> int:
+    """int(x); a float or Fraction must be integral, since int() would truncate
+    it.  ``where`` names the entry in the error, as (label, index) pairs."""
     if isinstance(x, (float, Fraction)) and x % 1:
-        raise ValueError(f"row {i}, column {j}: {x!r} is not an integer")
+        place = ", ".join(f"{label} {i}" for label, i in where)
+        raise ValueError(f"{place}: {x!r} is not an integer")
     return int(x)
 
 
@@ -51,11 +58,15 @@ def copy_matrix(M: Sequence[Sequence[int]]) -> list[list[int]]:
     A = [list(row) for row in M]
     if {int}.issuperset(map(type, chain.from_iterable(A))):
         return A
-    return [[_entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(A)]
+    return [[checked_int(x, ("row", i), ("column", j)) for j, x in enumerate(row)]
+            for i, row in enumerate(A)]
 
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = 1
+    return M
 
 
 def transpose(M: Sequence[Sequence]) -> list[list]:
@@ -130,8 +141,28 @@ def left_kernel_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     combination of input rows it has become is tracked; a row that reduces
     to zero contributes that combination to the basis.  Pivot rows are kept
     with pivot entry 1 and zeros at every earlier pivot column.
+
+    For p = 2 the same elimination runs on int bit masks, bit j for column
+    j (or for input row j, in a combination): the pivot column, the first
+    nonzero one, is the lowest set bit, and every update is an XOR, so the
+    pivots and the basis, in its order, are those of the list elimination.
     """
     c = len(rows)
+    if p == 2:
+        bit_pivots: list[tuple[int, int, int]] = []  # (pivot bit, row mask, combination mask)
+        basis = []
+        for i, row in enumerate(rows):
+            r = sum(1 << j for j, a in enumerate(row) if a % 2)
+            combo = 1 << i
+            for bit, prow, pcombo in bit_pivots:
+                if r & bit:
+                    r ^= prow
+                    combo ^= pcombo
+            if r:
+                bit_pivots.append((r & -r, r, combo))
+            else:
+                basis.append([combo >> k & 1 for k in range(c)])
+        return basis
     pivots: list[tuple[int, list[int], list[int]]] = []  # (column, row, combination)
     basis = []
     for i, row in enumerate(rows):
@@ -173,6 +204,10 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
     the sign fix of pivot t is (t, t, 2).  Since P M = D Q^-1, the first r rows
     of P M are d_i times rows of Q^-1, a basis of the span of M; the rest vanish.
 
+    A row operation reads only the nonzero entries of row j (`_row_sub`): the
+    others would subtract 0, so the rows, the pivots chosen from them and
+    hence both logs are those of the whole-row update.
+
     The rows above pivot t are finished, zero off the diagonal, so a column
     operation of sweep t skips them; and col_j -= q * col_t leaves every row
     with a 0 in column t as it is, so it runs over the live rows alone: those
@@ -188,8 +223,8 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
         raise ValueError("ragged matrix")
     rows, cols = [], []  # the elimination updates A alone and logs each operation
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+    def row_op(i, j, q):  # row_i -= q * row_j, over the nonzeros of row_j
+        _row_sub(A[i], q, A[j])
         rows.append((i, j, q))
 
     def move_min_pivot(t) -> bool:
@@ -256,13 +291,20 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
     return A, rows, cols
 
 
+def _row_sub(dst: list, q: int, src: list) -> None:
+    """dst -= q * src in place, over the nonzero entries of src alone; src may
+    be dst itself (the sign fix), since each entry is read before it is written."""
+    for k in compress(range(len(src)), src):
+        dst[k] -= q * src[k]
+
+
 def _replay_rows(log: Iterable[tuple], M: list[list[int]]) -> list[list[int]]:
     """Apply the logged row operations, in order, to the rows of M (in place)."""
     for i, j, q in log:
         if q is None:
             M[i], M[j] = M[j], M[i]
         else:
-            M[i] = [a - q * b for a, b in zip(M[i], M[j])]
+            _row_sub(M[i], q, M[j])
     return M
 
 

@@ -15,6 +15,7 @@ canonical class.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
@@ -24,6 +25,7 @@ from typing import Literal, Sequence
 from .lattice_core import (
     AbelianInvariants,
     GramLattice,
+    checked_int,
     invariant_factors,
     is_prime,
     left_kernel_mod_p,
@@ -44,7 +46,10 @@ class ChainConfiguration:
     ``chains[i][k]`` is the coordinate vector of the k-th class of chain i
     (k = 0 .. p-2).  Vectors may have ``ambient.rank + t`` entries whose
     trailing t coordinates are torsion bits; the Gram pairing only sees the
-    first ``ambient.rank`` entries.
+    first ``ambient.rank`` entries.  Entries are stored as ints: one type
+    scan, in C, passes int entries as they are, and any other entry goes
+    through ``checked_int``, so a float or Fraction that is not an integer is
+    refused with a ValueError naming its chain, class and coordinate.
     """
 
     ambient: GramLattice
@@ -54,11 +59,19 @@ class ChainConfiguration:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
-        object.__setattr__(
-            self,
-            "chains",
-            tuple(tuple(tuple(map(int, v)) for v in chain) for chain in self.chains),
-        )
+        chains = self.chains
+        if {int}.issuperset(map(type, itertools.chain.from_iterable(itertools.chain(*chains)))):
+            chains = tuple(tuple(map(tuple, chain)) for chain in chains)
+        else:
+            chains = tuple(
+                tuple(
+                    tuple(checked_int(x, ("chain", ci), ("class", k), ("coordinate", j))
+                          for j, x in enumerate(v))
+                    for k, v in enumerate(chain)
+                )
+                for ci, chain in enumerate(chains)
+            )
+        object.__setattr__(self, "chains", chains)
         n = self.vector_length
         if n < self.ambient.rank:
             raise ValueError("chain vectors shorter than the ambient rank")
@@ -134,8 +147,8 @@ def weighted_chain_class(chain: Sequence[Sequence[int]], d: int) -> list[int]:
         raise ValueError("mismatched vector lengths")
     if not 1 <= d <= len(chain):
         raise ValueError("weight d must satisfy 1 <= d <= p-1")
-    out = [0] * n
-    for k, v in enumerate(chain, start=1):
+    out = [d * x for x in chain[0]]
+    for k, v in enumerate(chain[1:], start=2):
         out = [o + d * k * x for o, x in zip(out, v)]
     return out
 

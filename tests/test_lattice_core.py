@@ -141,16 +141,32 @@ def smith_log_cases():
 SMITH_LOG_FIBRATIONS = ["mp1", "mp9", "mp29", "mp30", "mp39", "mp64", "mp108", "double_iv_star"]
 
 
+def chain_span_cases():
+    """The chain-span matrices a `subset_sweep` op reduces: two seeded point
+    subsets of each size (one for the whole set) of the 16-point and the
+    9-point model, each chain's classes as rows over the free coordinates."""
+    rng = random.Random(18)
+    for name, model in (("kummer", finite_geometry.kummer_lattice),
+                        ("ag23", finite_geometry.ag23_lattice)):
+        cfg = model()[1]
+        rank = cfg.ambient.rank
+        for c in range(1, cfg.count + 1):
+            for k in range(1 if c == cfg.count else 2):
+                members = sorted(rng.sample(range(cfg.count), c))
+                yield f"{name}_span{c}_{k}", [list(v[:rank]) for i in members for v in cfg.chains[i]]
+
+
 def test_smith_logs_are_pinned():
-    """D, P, Q and both operation logs, exactly as pinned, for the seeded matrices
-    and the 16 matrices one `fibration_rows` op list reduces: each bundled
-    formal Gram and its row basis."""
+    """D, P, Q and both operation logs, exactly as pinned, for the seeded matrices,
+    the 16 matrices one `fibration_rows` op list reduces (each bundled formal
+    Gram and its row basis) and the chain spans of `chain_span_cases`."""
     pins = json.loads((Path(__file__).parent / "data" / "smith_log_pins.json").read_text())
     cases = list(smith_log_cases())
     for n in SMITH_LOG_FIBRATIONS:
         spec = elliptic.parse_fibration(json.loads((data_dir() / f"{n}.json").read_text()))
         gram = [list(row) for row in elliptic.formal_gram(spec)[1]]
         cases += [(f"{n}_formal_gram", gram), (f"{n}_row_basis", lattice_row_basis(gram))]
+    cases += chain_span_cases()
     assert [(c["name"], c["M"]) for c in pins] == cases
     for pin in pins:
         M = pin["M"]
@@ -229,6 +245,57 @@ def test_left_kernel_mod_p_matches_brute_force():
         }
         assert len(span) == len(kernel)  # independent: p^k distinct combinations
     assert left_kernel_mod_p([], 3) == []
+
+
+def list_kernel_mod_p(rows, p):
+    """Reference elimination on lists of residues: each row is reduced against
+    the pivot rows before it, the combination it has become is tracked, and a
+    row that reduces to zero contributes its combination to the basis."""
+    c = len(rows)
+    pivots, basis = [], []
+    for i, row in enumerate(rows):
+        r = [a % p for a in row]
+        combo = [int(k == i) for k in range(c)]
+        for col, prow, pcombo in pivots:
+            f = r[col]
+            if f:
+                r = [(a - f * b) % p for a, b in zip(r, prow)]
+                combo = [(a - f * b) % p for a, b in zip(combo, pcombo)]
+        col = next((j for j, a in enumerate(r) if a), None)
+        if col is None:
+            basis.append(combo)
+        else:
+            inv = pow(r[col], -1, p)
+            pivots.append((col, [a * inv % p for a in r], [a * inv % p for a in combo]))
+    return basis
+
+
+def test_left_kernel_mod_2_bit_masks_match_the_list_elimination():
+    """Up to 16 x 20, with zero rows, dependent rows and torsion-bit columns:
+    the same basis vectors, in the same order, as the list elimination."""
+    rng = random.Random(18)
+    sizes = set()
+    for trial in range(400):
+        c, n = (16, 18) if trial % 10 < 2 else (rng.randint(1, 16), rng.randint(1, 18))
+        rows = []
+        for _ in range(c):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([0] * n)
+            elif kind < 0.45 and rows:  # a combination of the rows so far
+                picks = rng.sample(rows, rng.randint(1, len(rows)))
+                rows.append([sum(rng.randint(-3, 3) * r[j] for r in picks) for j in range(n)])
+            else:
+                rows.append([rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(n)])
+        if trial % 2:  # torsion-bit columns
+            rows = [row + [rng.randrange(2) for _ in range(2)] for row in rows]
+        basis = left_kernel_mod_p(rows, 2)
+        assert basis == list_kernel_mod_p(rows, 2)
+        assert all(type(x) is int for v in basis for x in v)
+        sizes.add((len(basis) > 0, c == 16, len(rows[0]) == 20))
+    assert {(True, True, True), (False, False, False)} <= sizes
+    assert left_kernel_mod_p([], 2) == []
+    assert left_kernel_mod_p([[0, 0], [2, 4], [1, -1]], 2) == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_full_rank22_catalog_discriminants():

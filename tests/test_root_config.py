@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -17,6 +18,7 @@ from k3lat.lattice_core import (
     catalog_lattice,
     identity_matrix,
     is_prime,
+    parse_lattice,
     primitive_closure,
 )
 from k3lat import root_config
@@ -71,6 +73,30 @@ def test_config_validation_rejects_bad_gram():
     amb = GramLattice(((2, 0), (0, 2)))
     with pytest.raises(ValueError):
         ChainConfiguration(amb, 2, (((1, 0),),))  # self-intersection +2, not -2
+
+
+@pytest.mark.parametrize("chains,message", [
+    ((((Fraction(3, 2), 0), (0, 1.9)),), r"chain 0, class 0, coordinate 0: Fraction\(3, 2\)"),
+    ((((1.0, 0), (0, 1.9)),), r"chain 0, class 1, coordinate 1: 1\.9"),
+    ((((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0), (0, 0, 0.5, 1))),
+     r"chain 1, class 1, coordinate 2: 0\.5"),
+    ((((1, 0), (0, float("nan"))),), "chain 0, class 1, coordinate 1: nan"),
+], ids=["fraction", "float", "second_chain", "nan"])
+def test_non_integral_chain_entry_is_refused_not_truncated(chains, message):
+    """int() would truncate the entry into a valid chain; the ValueError names
+    the chain, the class and the coordinate."""
+    ambient = parse_lattice({"sum": ["A2"] * len(chains)})  # one A_2 block per chain
+    with pytest.raises(ValueError, match=message + " is not an integer"):
+        ChainConfiguration(ambient, 3, chains)
+
+
+def test_chain_entries_are_stored_as_ints():
+    a2 = catalog_lattice("A2")
+    cfg = ChainConfiguration(a2, 3, [[[Fraction(2, 2), 0.0], [False, True]]])
+    assert cfg.chains == (((1, 0), (0, 1)),)
+    assert all(type(x) is int for chain in cfg.chains for v in chain for x in v)
+    chains = (((1, 0), (0, 1)),)
+    assert ChainConfiguration(a2, 3, chains).chains[0][0] is chains[0][0]  # int tuples kept as they are
 
 
 def test_single_a1_in_rank_one_model_is_primitive():
