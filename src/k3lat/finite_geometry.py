@@ -23,6 +23,7 @@ from .lattice_core import (
     GramLattice,
     block_diagonal,
     cartan_matrix,
+    checked_int,
     is_prime,
     mat_mul,
     span_coordinates,
@@ -37,6 +38,8 @@ class AffineSpaceModel:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", checked_int(self.p, ("p",)))
+        object.__setattr__(self, "n", checked_int(self.n, ("n",)))
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         # bounded before the primality test; n <= 16 and p <= 65536 keep p**n small
@@ -174,7 +177,7 @@ def glue_overlattice(
 def chain_overlattice(p: int, n: int) -> tuple[GramLattice, ChainConfiguration]:
     """Overlattice of p^n orthogonal A_{p-1} chains glued along the affine code."""
     space = AffineSpaceModel(p, n)
-    return glue_overlattice(p, space.size, affine_function_code(space))
+    return glue_overlattice(space.p, space.size, affine_function_code(space))
 
 
 def kummer_lattice() -> tuple[GramLattice, ChainConfiguration]:

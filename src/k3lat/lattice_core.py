@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import gcd, prod
 from operator import mul
@@ -44,11 +44,12 @@ class DegenerateLatticeError(ValueError):
 # basic exact matrix helpers
 
 
-def checked_int(x, *where: tuple[str, int]) -> int:
+def checked_int(x, *where: tuple) -> int:
     """int(x); a float or Fraction must be integral, since int() would truncate
-    it.  ``where`` names the entry in the error, as (label, index) pairs."""
+    it.  ``where`` names the entry in the error, as (label, index) pairs or a
+    (label,) alone."""
     if isinstance(x, (float, Fraction)) and x % 1:
-        place = ", ".join(f"{label} {i}" for label, i in where)
+        place = ", ".join(" ".join(map(str, w)) for w in where)
         raise ValueError(f"{place}: {x!r} is not an integer")
     return int(x)
 
@@ -470,6 +471,11 @@ class GramLattice:
 
     def is_unimodular(self) -> bool:
         return abs(self.det()) == 1
+
+    @cached_property
+    def max_abs_entry(self) -> int:
+        """max |G_ij|, scanned once per lattice on first use (0 at rank 0)."""
+        return max(map(abs, chain.from_iterable(self.gram)), default=0)
 
     def gram_image(self, v: Sequence[int]) -> list[int]:
         """The row vector v·G over the first ``rank`` entries of v.

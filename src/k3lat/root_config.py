@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import compress, product, repeat
 from math import prod
-from operator import mul
+from operator import floordiv, getitem, mod, mul
 from typing import Literal, Sequence
 
 from .lattice_core import (
@@ -57,6 +57,8 @@ class ChainConfiguration:
     chains: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            object.__setattr__(self, "p", checked_int(self.p, ("p",)))
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         chains = self.chains
@@ -81,13 +83,47 @@ class ChainConfiguration:
             for v in chain:
                 if len(v) != n:
                     raise ValueError("inconsistent vector lengths")
-        self._check_gram()
+        if self.count * (self.p - 1) <= 4:  # ten pairings at most: the loop is the cheaper check
+            self._check_gram()
+        elif not self._gram_identity_holds():
+            self._check_gram()
+            raise AssertionError("the packed Gram identity failed, but every pair checks")
 
     @property
     def vector_length(self) -> int:
         if not self.chains or not self.chains[0]:
             return self.ambient.rank
         return len(self.chains[0][0])
+
+    def _gram_identity_holds(self) -> bool:
+        """The whole Gram check as one exact identity over packed integers.
+
+        V is the m x r matrix of the classes, cut to r = ``ambient.rank``
+        (torsion bits are not paired), B the block-diagonal matrix of the
+        A_{p-1} blocks and x = (X^0, ..., X^{m-1}) with X = 2^s.  The check
+        is V (G (V^T x)) = B x.  Every entry of E = V G V^T - B satisfies
+        |E_ab| <= M = r^2 max|V|^2 max|G| + 2, and X > M; so sum_b E_ab X^b
+        = 0 forces E_ab = 0 digit by digit (the lowest digit is 0 mod X and
+        smaller than X, so it is 0; divide by X and repeat).  The identity is
+        therefore exact, not probabilistic.  V^T x, G (V^T x) and V times
+        that are r + r + m inner products, each one C-level call, in place of
+        the m(m+1)/2 pairings of ``_check_gram``; G (V^T x) is taken against
+        the rows of G, since the packed vector is dense.  max|G| is read from
+        ``GramLattice.max_abs_entry``, scanned once per lattice.
+        """
+        r = self.ambient.rank
+        rows = [v[:r] for chain in self.chains for v in chain]
+        vmax = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+        s = (r * r * vmax * vmax * self.ambient.max_abs_entry + 2).bit_length()  # 2^s > M
+        powers = [1 << (s * a) for a in range(len(rows))]
+        packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
+        image = [sum(map(mul, g, packed)) for g in self.ambient.gram]
+        want = [-2 * x for x in powers]
+        for a in range(len(rows) - 1):
+            if (a + 1) % (self.p - 1):  # classes a and a+1 are neighbours in one chain
+                want[a] += powers[a + 1]
+                want[a + 1] += powers[a]
+        return [sum(map(mul, row, image)) for row in rows] == want
 
     def _check_gram(self):
         """Every class pairs as an A_{p-1} block with its own chain and to 0 with the others.
@@ -96,7 +132,12 @@ class ChainConfiguration:
         a sum over the class's nonzero coordinates); every pairing is then
         one inner product of an image with a class vector over the first
         ``ambient.rank`` entries, so torsion bits are not paired.  All pairs
-        are checked, and the first failing one is reported.
+        are checked, and the first failing one is reported.  The constructor
+        runs it first only for at most four classes, where its ten pairings
+        cost less than packing.  Otherwise it runs only when
+        ``_gram_identity_holds`` fails, to name the failing pair; if no pair
+        fails there, the constructor raises AssertionError, so a fault in the
+        identity cannot pass a configuration silently.
         """
         images = [[self.ambient.gram_image(v) for v in chain] for chain in self.chains]
         for ci, chain in enumerate(self.chains):
@@ -165,8 +206,12 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
     (p^k - 1)/(p - 1) in all, so no class is met twice.  The kernel is tiny
     in every real configuration; ``SearchSpaceError`` is raised if p^k - 1
     would exceed ``MAX_CANDIDATES``.  Each witness total is sum d_i row_i
-    over the same rows and is re-verified integrally; the kernel is taken on
-    the same coordinates, so the re-check is an assertion that cannot fail.
+    over the same rows: the multiples d row_i (d = 2 .. p-1) are taken once
+    per search, and only when the kernel is nonzero, so a total is the
+    column sums of its support's multiples, ``map(sum, zip(*...))``.  It is
+    re-verified integrally, and the quotient taken, in one C-level pass
+    each; the kernel is taken on the same coordinates, so the re-check is an
+    assertion that cannot fail.
     Witnesses are sorted, so their order does not depend on the kernel basis.
     Torsion bits only count for p = 2: order-2 torsion is p-divisible for
     odd p, so there the search sees the free coordinates alone.
@@ -186,7 +231,11 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
         raise SearchSpaceError(
             f"kernel enumeration needs {p**k - 1} candidates (> {MAX_CANDIDATES})"
         )
+    if not k:
+        return []
 
+    # row i times d = 0 .. p-1 (0 is never read): a witness total sums its support's columns
+    multiples = [(None, row, *([d * x for x in row] for d in range(2, p))) for row in rows]
     witnesses = []
     for lead in range(k):
         for tail in product(range(p), repeat=k - lead - 1):
@@ -194,19 +243,18 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
             for x, v in zip(tail, kernel[lead + 1 :]):
                 if x:
                     d = [(a + x * b) % p for a, b in zip(d, v)]
-            support = tuple(i for i in range(c) if d[i] != 0)
-            unit = pow(d[support[0]], -1, p)  # first nonzero coefficient becomes 1
-            d = [(x * unit) % p for x in d]
-            total = [0] * n
-            for i in support:
-                di = d[i]
-                total = [t + di * x for t, x in zip(total, rows[i])]
-            assert all(x % p == 0 for x in total), "a kernel vector failed the integral check"
+            support = tuple(compress(range(c), d))
+            if d[support[0]] != 1:  # first nonzero coefficient becomes 1
+                unit = pow(d[support[0]], -1, p)
+                d = [(x * unit) % p for x in d]
+            coefficients = tuple(compress(d, d))
+            total = list(map(sum, zip(*map(getitem, compress(multiples, d), coefficients))))
+            assert not any(map(mod, total, repeat(p))), "a kernel vector failed the integral check"
             witnesses.append(
                 DivisibleSubsetWitness(
                     subset=support,
-                    coefficients=tuple(d[i] for i in support),
-                    quotient_class=tuple(x // p for x in total[: cfg.ambient.rank]),
+                    coefficients=coefficients,
+                    quotient_class=tuple(map(floordiv, total[: cfg.ambient.rank], repeat(p))),
                 )
             )
     witnesses.sort(key=lambda w: (len(w.subset), w.subset, w.coefficients))

@@ -1,7 +1,8 @@
 """Every committed ``BENCH_<pr>.json`` keeps the shape the ROADMAP's north star
 asks of a speed claim: the Python version, the core count, the seeds, the
 repeat count, both commits, and for each workload and end-to-end metric a
-median and an IQR on the parent's side and on the change's."""
+median and an IQR on the parent's side and on the change's.  Every run on
+both sides must also have answered correctly, with no failed op."""
 
 import json
 import re
@@ -39,6 +40,10 @@ def test_record_has_the_north_star_keys(path):
         for run in wl["runs"]:
             for side in ("parent", "change"):
                 assert set(END_TO_END) <= run[side].keys(), (name, run["seed"], side)
+                # a timing counts only from a run whose every answer held
+                result = run[side]
+                assert result["correct"] is True, (name, run["seed"], side)
+                assert result["failed"] == 0 and result["attempted"] > 0, (name, run["seed"], side)
         assert wl["sets"], name
         for set_name, part in wl["sets"].items():
             assert set(part["seeds"]) <= set(seeds), (name, set_name)

@@ -169,6 +169,18 @@ def test_affine_space_validation():
         affine_space(2, 20)  # enumeration bound
 
 
+def test_float_p_and_n_are_stored_as_ints():
+    """A float p used to give a float size (9.0) and a TypeError in
+    chain_overlattice; integral floats now become ints, others are refused."""
+    space = affine_space(3.0, 2.0)
+    assert (space.p, space.n, space.size) == (3, 2, 9) and type(space.size) is int
+    assert chain_overlattice(3.0, 2) == chain_overlattice(3, 2)
+    with pytest.raises(ValueError, match=r"^p: 3\.5 is not an integer$"):
+        affine_space(3.5, 2)
+    with pytest.raises(ValueError, match=r"^n: 2\.5 is not an integer$"):
+        affine_space(3, 2.5)
+
+
 def test_hyperplane_covering_search():
     assert sum(1 for _ in combinations(range(16), 13)) == 560  # exhaustive scope
     report = hyperplane_covering_search()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from k3lat.finite_geometry import (
 from k3lat.lattice_core import (
     EmbeddedSublattice,
     GramLattice,
+    block_diagonal,
     catalog_lattice,
     identity_matrix,
     is_prime,
@@ -97,6 +99,17 @@ def test_chain_entries_are_stored_as_ints():
     assert all(type(x) is int for chain in cfg.chains for v in chain for x in v)
     chains = (((1, 0), (0, 1)),)
     assert ChainConfiguration(a2, 3, chains).chains[0][0] is chains[0][0]  # int tuples kept as they are
+
+
+def test_float_p_is_stored_as_an_int():
+    """is_prime(3.0) holds, so a float p used to pass the constructor and then
+    break the search's pow(); 3.0 now becomes 3, and 3.5 is refused by name."""
+    a2 = catalog_lattice("A2")
+    cfg = ChainConfiguration(a2, 3.0, (((1, 0), (0, 1)),))
+    assert type(cfg.p) is int and cfg == ChainConfiguration(a2, 3, (((1, 0), (0, 1)),))
+    assert find_p_divisible_subsets(cfg) == []
+    with pytest.raises(ValueError, match=r"^p: 3\.5 is not an integer$"):
+        ChainConfiguration(a2, 3.5, (((1, 0), (0, 1)),))
 
 
 def test_single_a1_in_rank_one_model_is_primitive():
@@ -360,6 +373,68 @@ def brute_force_gram_error(ambient, p, chains):
     return None
 
 
+def adversarial_gram_case(weakened):
+    """Six classes of three A_2 chains (more than four, so the constructor
+    takes the packed identity) whose error E = V G V^T - B is not 0, but
+    packs to 0 under the digit width X that leaves max|G| (``"gram"``) or
+    max|V|^2 (``"classes"``) out of the bound M = r^2 max|V|^2 max|G| + 2.
+
+    E = h (z w^T + w z^T) with z = (X, -1, 0, ...) and w = (0, X, -1, 0, ...);
+    both are orthogonal to x = (1, X, X^2, ...), so E x = 0.  For "gram" the
+    large entries sit in G: a block equal to E (h = 1), read by one unit
+    coordinate per class, and class entries near 10^6 on a coordinate that
+    pairs only with one no class uses.  For "classes" they sit in V: z and w
+    as two coordinates that pair to h = 2^14.  Returns (ambient, chains, X)."""
+    base = make_unit_config(3, 3)
+    units = [v for chain in base.chains for v in chain]
+    m = len(units)
+
+    def error_vectors(X):
+        return [X, -1] + [0] * (m - 2), [0, X, -1] + [0] * (m - 3)
+
+    if weakened == "gram":
+        big = [10**6 + a for a in range(m)]
+        rank = len(units[0]) + 2 + m
+        X = 2 ** (rank * rank * max(big) ** 2 + 2).bit_length()
+        z, w = error_vectors(X)
+        E = [[z[a] * w[b] + w[a] * z[b] for b in range(m)] for a in range(m)]
+        gram = block_diagonal([base.ambient.gram, [[0, 1], [1, 0]], E])
+        classes = [u + (big[a], 0) + tuple(int(a == b) for b in range(m))
+                   for a, u in enumerate(units)]
+    else:
+        h = 2**14
+        rank = len(units[0]) + 2
+        X = 2 ** (rank * rank * h + 2).bit_length()
+        z, w = error_vectors(X)
+        gram = block_diagonal([base.ambient.gram, [[0, h], [h, 0]]])
+        classes = [u + (z[a], w[a]) for a, u in enumerate(units)]
+    chains = tuple(tuple(classes[2 * i:2 * i + 2]) for i in range(3))
+    return GramLattice(tuple(map(tuple, gram))), chains, X
+
+
+@pytest.mark.parametrize("weakened", ["gram", "classes"])
+def test_gram_identity_is_exact_where_a_weaker_bound_would_pass(weakened):
+    """The packed identity's digit width must cover both max|G| and max|V|^2:
+    at the width without either one, this broken configuration would pass."""
+    ambient, chains, X = adversarial_gram_case(weakened)
+    r, G = ambient.rank, ambient.gram
+    V = [v for chain in chains for v in chain]
+    assert max(abs(x) for v in V for x in v) >= 10**6
+    E = [
+        [sum(V[a][i] * G[i][j] * V[b][j] for i in range(r) for j in range(r))
+         - (-2 if a == b else int(abs(a - b) == 1 and a // 2 == b // 2))
+         for b in range(len(V))]
+        for a in range(len(V))
+    ]
+    assert any(map(any, E))
+    assert all(sum(e * X**b for b, e in enumerate(row)) == 0 for row in E)
+    expected = brute_force_gram_error(ambient, 3, chains)
+    assert expected is not None
+    with pytest.raises(ValueError) as excinfo:
+        ChainConfiguration(ambient, 3, chains)
+    assert str(excinfo.value) == expected
+
+
 def perturbed_class(rng, v, rank):
     """v plus a nonzero vector with entries in {-1, 0, 1} on the first rank entries."""
     u = [0] * rank
@@ -411,6 +486,62 @@ def test_gram_check_matches_brute_force_oracle():
         seen["valid" if got is None else "block" if "block" in got else "orthogonal"] += 1
     assert seen["valid"] == len(cases)
     assert seen["block"] >= 10 and seen["orthogonal"] >= 10
+
+
+def affine_code_words(p, n):
+    """Every nonzero word of the affine-function code over F_p^n, scaled to a
+    leading 1: a.x + b evaluated at the points in index order (digit j of the
+    index is coordinate j)."""
+    points = [tuple(i // p**j % p for j in range(n)) for i in range(p**n)]
+    words = set()
+    for *a, b in product(range(p), repeat=n + 1):
+        word = [(sum(ai * xi for ai, xi in zip(a, x)) + b) % p for x in points]
+        if any(word):
+            unit = pow(next(v for v in word if v), -1, p)
+            words.add(tuple(v * unit % p for v in word))
+    return words
+
+
+def large_kernel_cases():
+    """(model, p, n, members) for every point subset of AG(2,3) and every
+    Kummer subset of at least 13 points: kernel dimensions up to 3 and 5."""
+    for model, p, n, smallest in ((ag23_lattice()[1], 3, 2, 1), (kummer_lattice()[1], 2, 4, 13)):
+        for size in range(smallest, p**n + 1):
+            for members in combinations(range(p**n), size):
+                yield model, p, n, members
+
+
+LARGE_KERNEL_DIGEST = "57609b74d38f93cb9573c557130f7d9c30edb8b254606488352a89698f6f93fa"
+
+
+def test_witness_lists_on_large_kernels():
+    """Sub-configurations of the two models against the affine-code oracle:
+    the witnesses are the code words supported inside the subset, each with
+    a leading 1 and its quotient; the full output matches a pinned digest."""
+    digest = hashlib.sha256()
+    words = {(3, 2): affine_code_words(3, 2), (2, 4): affine_code_words(2, 4)}
+    count = 0
+    for model, p, n, members in large_kernel_cases():
+        sub = model.restrict(members)
+        got = [(w.subset, w.coefficients, w.quotient_class) for w in find_p_divisible_subsets(sub)]
+        position = {m: i for i, m in enumerate(members)}
+        inside = set(members)
+        expected = sorted(
+            ((tuple(position[i] for i, v in enumerate(word) if v), tuple(v for v in word if v))
+             for word in words[(p, n)] if inside.issuperset(i for i, v in enumerate(word) if v)),
+            key=lambda w: (len(w[0]), w[0], w[1]),
+        )
+        assert [(subset, coefficients) for subset, coefficients, _ in got] == expected, members
+        for subset, coefficients, quotient in got:
+            assert coefficients[0] == 1
+            total = [0] * sub.ambient.rank
+            for i, d in zip(subset, coefficients):
+                total = [t + x for t, x in zip(total, weighted_chain_class(sub.chains[i], d))]
+            assert total == [p * x for x in quotient]
+        digest.update(repr((members, got)).encode())
+        count += 1
+    assert count == 511 + 697
+    assert digest.hexdigest() == LARGE_KERNEL_DIGEST
 
 
 def test_dot_matches_brute_force_oracle():
