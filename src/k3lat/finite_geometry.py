@@ -152,6 +152,7 @@ def glue_overlattice(
     presents the original chain classes in that basis.  A code whose glue
     is not integral or not even raises ValueError.
     """
+    p, c = checked_int(p, ("p",)), checked_int(c, ("c",))
     m = c * (p - 1)
     # generators in coordinates scaled by p (chain classes become p * e)
     gens = [[p if j == idx else 0 for j in range(m)] for idx in range(m)]

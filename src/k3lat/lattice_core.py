@@ -9,7 +9,9 @@ target row in place over the nonzero entries of the source row alone: a
 zero entry of the source leaves the target's entry as it is, so the
 result, and the order of the logged operations, are those of the whole-row
 update.  It pays because the source rows are sparse: a row of a replay
-that starts from I, or of a formal Gram, has few nonzero entries.
+that starts from I, or of a formal Gram, has few nonzero entries.  A unit
+pivot, the common case, is finished in one row sweep and one column sweep
+(see `_smith`).
 `fractions.Fraction` appears only in a non-integral solution of
 `solve_left`; an integral one comes back as ints.  `solve_left` and
 `lattice_row_basis` share one memo of the last reduction, because their
@@ -46,9 +48,10 @@ class DegenerateLatticeError(ValueError):
 
 def checked_int(x, *where: tuple) -> int:
     """int(x); a float or Fraction must be integral, since int() would truncate
-    it.  ``where`` names the entry in the error, as (label, index) pairs or a
-    (label,) alone."""
-    if isinstance(x, (float, Fraction)) and x % 1:
+    it, and a str, bytes or bytearray is refused, since int() would parse it.
+    A bool passes as an int.  ``where`` names the entry in the error, as
+    (label, index) pairs or a (label,) alone."""
+    if isinstance(x, (str, bytes, bytearray)) or isinstance(x, (float, Fraction)) and x % 1:
         place = ", ".join(" ".join(map(str, w)) for w in where)
         raise ValueError(f"{place}: {x!r} is not an integer")
     return int(x)
@@ -214,6 +217,18 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
     with a 0 in column t as it is, so it runs over the live rows alone: those
     from t down with a nonzero in column t, fixed for the sweep because its
     column operations change only columns past t.
+
+    A unit pivot u = ±1 finishes in one sweep (`unit_sweep`): every balanced
+    quotient is exact, q = a·u, so the row sweep zeroes column t below the
+    pivot and leaves row t the only row with a nonzero in column t; the
+    column operations then change row t alone, and set its entries past t
+    to 0.  The pivot row's nonzero columns are taken once; row i subtracts
+    (a·u) times the pivot row over them and logs (i, t, a·u), and then, in
+    ascending j, the log gets (j, t, piv[j]·u) and piv[j] becomes 0.  The
+    general loop would log the same operations, pick the same pivot again
+    and sweep once more to no effect, so D and both logs are unchanged.  A
+    non-unit pivot runs the general loop until it is done or a re-pivot
+    lands on a unit, which then finishes in the unit sweep.
     """
     A = copy_matrix(M)
     m = len(A)
@@ -253,11 +268,26 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
             cols.append((t, j, None))
         return True
 
+    def unit_sweep(t):  # a pivot u = ±1 clears column t and row t in one sweep
+        piv = A[t]
+        u = piv[t]
+        nz = list(compress(range(t, n), piv[t:]))
+        for i in range(t + 1, m):
+            row = A[i]
+            if row[t]:
+                q = row[t] * u
+                for k in nz:
+                    row[k] -= q * piv[k]
+                rows.append((i, t, q))
+        for j in nz[1:]:  # row t is now the only row with a nonzero in column t
+            cols.append((j, t, piv[j] * u))
+            piv[j] = 0
+
     t = 0
     while t < min(m, n):
         if not move_min_pivot(t):
             break
-        while True:
+        while abs(A[t][t]) != 1:
             # clear column t and row t against the current minimal pivot
             touched = False
             for i in range(t + 1, m):
@@ -275,15 +305,15 @@ def _smith(M: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[tuple], li
             if touched:
                 move_min_pivot(t)
                 continue
-            # pivot must divide the whole trailing block (a unit always does)
+            # pivot must divide the whole trailing block
             d = A[t][t]
-            fix = None
-            if abs(d) != 1:
-                fix = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1 :])), None)
+            fix = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1 :])), None)
             if fix is None:
                 break
             row_op(t, fix, -1)  # pull row `fix` into the pivot row
             move_min_pivot(t)
+        else:
+            unit_sweep(t)
 
         if A[t][t] < 0:
             row_op(t, t, 2)

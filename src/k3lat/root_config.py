@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from math import prod
 from operator import floordiv, getitem, mod, mul
 from typing import Literal, Sequence
@@ -203,28 +203,42 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
     coefficient vectors x with x rows = 0 mod p (``left_kernel_mod_p``).
     The search enumerates it projectively: each combination of the k kernel
     basis vectors whose first nonzero entry is 1 gives one class,
-    (p^k - 1)/(p - 1) in all, so no class is met twice.  The kernel is tiny
-    in every real configuration; ``SearchSpaceError`` is raised if p^k - 1
-    would exceed ``MAX_CANDIDATES``.  Each witness total is sum d_i row_i
-    over the same rows: the multiples d row_i (d = 2 .. p-1) are taken once
-    per search, and only when the kernel is nonzero, so a total is the
-    column sums of its support's multiples, ``map(sum, zip(*...))``.  It is
-    re-verified integrally, and the quotient taken, in one C-level pass
-    each; the kernel is taken on the same coordinates, so the re-check is an
-    assertion that cannot fail.
-    Witnesses are sorted, so their order does not depend on the kernel basis.
-    Torsion bits only count for p = 2: order-2 torsion is p-divisible for
-    odd p, so there the search sees the free coordinates alone.
+    (p^k - 1)/(p - 1) in all, so no class is met twice.  The combinations of
+    one lead vector are built one later basis vector v at a time: each
+    combination met so far, plus x v for x = 1 .. p-1, so every new
+    combination is one list pass from the one it extends.  They are held as
+    a list of at most p^(k-1) vectors, no more than the witnesses they
+    yield.  The kernel is tiny in every real configuration;
+    ``SearchSpaceError`` is raised if p^k - 1 would exceed
+    ``MAX_CANDIDATES``.  The weighted rows are taken straight from the
+    chains, whose lengths the constructor has checked.  Each witness total
+    is sum d_i row_i over the same rows: the multiples d row_i
+    (d = 2 .. p-1) are taken once per search, and only when the kernel is
+    nonzero, so a total is the column sums of its support's multiples,
+    ``map(sum, zip(*...))``.  It is re-verified integrally, and the quotient
+    taken, in one C-level pass each; the kernel is taken on the same
+    coordinates, so the re-check is an assertion that cannot fail.
+    Witnesses are sorted as plain (size, subset, coefficients, quotient)
+    tuples, each built once after the sort, so their order does not depend
+    on the kernel basis or the enumeration.  Torsion bits only count for
+    p = 2: order-2 torsion is p-divisible for odd p, so there the search
+    sees the free coordinates alone.
     """
     p = cfg.p
     c = cfg.count
     if c == 0:
         return []
-    n = cfg.vector_length if p == 2 else cfg.ambient.rank
-    if c * (p - 1) > cfg.ambient.rank:
+    r = cfg.ambient.rank
+    n = cfg.vector_length if p == 2 else r
+    if c * (p - 1) > r:
         raise ValueError("configuration rank exceeds the ambient rank")
 
-    rows = [weighted_chain_class(chain, 1)[:n] for chain in cfg.chains]
+    rows = []  # sum_k k chain[k-1] over n coordinates; the constructor checked every length
+    for chain in cfg.chains:
+        row = chain[0][:n]
+        for w, v in enumerate(chain[1:], 2):
+            row = [a + w * b for a, b in zip(row, v)]
+        rows.append(row)
     kernel = left_kernel_mod_p(rows, p)
     k = len(kernel)
     if p**k - 1 > MAX_CANDIDATES:
@@ -236,13 +250,12 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
 
     # row i times d = 0 .. p-1 (0 is never read): a witness total sums its support's columns
     multiples = [(None, row, *([d * x for x in row] for d in range(2, p))) for row in rows]
-    witnesses = []
+    found = []
     for lead in range(k):
-        for tail in product(range(p), repeat=k - lead - 1):
-            d = kernel[lead]
-            for x, v in zip(tail, kernel[lead + 1 :]):
-                if x:
-                    d = [(a + x * b) % p for a, b in zip(d, v)]
+        combos = [kernel[lead]]  # each later kernel vector v extends every combination d by x v
+        for v in kernel[lead + 1 :]:
+            combos += [[(a + x * b) % p for a, b in zip(d, v)] for x in range(1, p) for d in combos]
+        for d in combos:
             support = tuple(compress(range(c), d))
             if d[support[0]] != 1:  # first nonzero coefficient becomes 1
                 unit = pow(d[support[0]], -1, p)
@@ -250,15 +263,10 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
             coefficients = tuple(compress(d, d))
             total = list(map(sum, zip(*map(getitem, compress(multiples, d), coefficients))))
             assert not any(map(mod, total, repeat(p))), "a kernel vector failed the integral check"
-            witnesses.append(
-                DivisibleSubsetWitness(
-                    subset=support,
-                    coefficients=coefficients,
-                    quotient_class=tuple(map(floordiv, total[: cfg.ambient.rank], repeat(p))),
-                )
-            )
-    witnesses.sort(key=lambda w: (len(w.subset), w.subset, w.coefficients))
-    return witnesses
+            quotient = tuple(map(floordiv, total[:r], repeat(p)))
+            found.append((len(support), support, coefficients, quotient))
+    found.sort()
+    return [DivisibleSubsetWitness(*w[1:]) for w in found]
 
 
 def chain_span_glue(cfg: ChainConfiguration) -> AbelianInvariants:

@@ -373,6 +373,11 @@ def test_malformed_json_exit_2(capsys):
          "bad fibration: sections[0].dot_zero must be an integer"),
         (["fibration", "validate", "--spec", mp108_edited(lambda s: s.update(chi="2"))],
          "bad fibration: chi must be an integer"),
+        # a numeric string is not an integer (it used to pass through int())
+        (["lattice", "snf", "--matrix", '[["2",0],[0,3]]'],
+         "bad matrix: row 0, column 0: '2' is not an integer"),
+        (["lattice", "disc", "--lattice", '{"gram":[[2,"1"],[1,2]]}'],
+         "bad lattice: row 0, column 1: '1' is not an integer"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

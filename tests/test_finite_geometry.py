@@ -181,6 +181,19 @@ def test_float_p_and_n_are_stored_as_ints():
         affine_space(3, 2.5)
 
 
+def test_glue_overlattice_takes_integral_p_and_c():
+    """A float p used to end in a TypeError from range(); an integral float now
+    becomes an int, and a non-integral one or a string is refused by name."""
+    lattice, cfg = glue_overlattice(3.0, 2.0, [])
+    assert type(cfg.p) is int and (lattice, cfg) == glue_overlattice(3, 2, [])
+    with pytest.raises(ValueError, match=r"^p: 3\.5 is not an integer$"):
+        glue_overlattice(3.5, 2, [])
+    with pytest.raises(ValueError, match=r"^c: '2' is not an integer$"):
+        glue_overlattice(3, "2", [])
+    with pytest.raises(ValueError, match=r"^p: '3' is not an integer$"):
+        affine_space("3", 2)
+
+
 def test_hyperplane_covering_search():
     assert sum(1 for _ in combinations(range(16), 13)) == 560  # exhaustive scope
     report = hyperplane_covering_search()

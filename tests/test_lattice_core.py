@@ -19,6 +19,7 @@ from k3lat.lattice_core import (
     _smith,
     bareiss_det,
     catalog_lattice,
+    checked_int,
     discriminant_group,
     is_p_divisible_class,
     lattice_row_basis,
@@ -175,6 +176,134 @@ def test_smith_logs_are_pinned():
         assert [list(e) for e in rows] == pin["rows"], pin["name"]
         assert [list(e) for e in cols] == pin["cols"], pin["name"]
         assert list(smith_normal_form(M)) == [pin["D"], pin["P"], pin["Q"]], pin["name"]
+
+
+def reference_smith(M):
+    """The elimination `_smith` ran before a unit pivot had its own one-sweep
+    branch, kept as the reference: every pivot, a unit too, goes round the
+    general loop (sweep, re-pivot, sweep again) until nothing changes.  Row
+    operations update the whole row.  Returns (D, rows, cols, pivots), where
+    pivots holds (|first pivot|, |final pivot|) for each t, so a test can see
+    which cases it covered."""
+    A = [list(row) for row in M]
+    m, n = len(A), len(A[0])
+    rows, cols, pivots = [], [], []
+
+    def quotient(a, b):  # balanced: minimises |a - q b|
+        q = a // b
+        return q + 1 if 2 * abs(a - q * b) > abs(b) else q
+
+    def row_op(i, j, q):
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        rows.append((i, j, q))
+
+    def move_min_pivot(t):
+        best, small = None, 0
+        for i in range(t, m):
+            for j in range(t, n):
+                a = abs(A[i][j])
+                if a and (best is None or a < small):
+                    best, small = (i, j), a
+                    if a == 1:
+                        break
+            if small == 1:
+                break
+        if best is None:
+            return False
+        i, j = best
+        if i != t:
+            A[t], A[i] = A[i], A[t]
+            rows.append((t, i, None))
+        if j != t:
+            for row in A[t:]:
+                row[t], row[j] = row[j], row[t]
+            cols.append((t, j, None))
+        return True
+
+    t = 0
+    while t < min(m, n):
+        if not move_min_pivot(t):
+            break
+        first = abs(A[t][t])
+        while True:
+            touched = False
+            for i in range(t + 1, m):
+                if A[i][t] != 0:
+                    row_op(i, t, quotient(A[i][t], A[t][t]))
+                    touched = True
+            live = [row for row in A[t:] if row[t]]
+            for j in range(t + 1, n):
+                if A[t][j] != 0:
+                    q = quotient(A[t][j], A[t][t])
+                    for row in live:
+                        row[j] -= q * row[t]
+                    cols.append((j, t, q))
+                    touched = True
+            if touched:
+                move_min_pivot(t)
+                continue
+            d = A[t][t]
+            fix = None
+            if abs(d) != 1:
+                fix = next((i for i in range(t + 1, m) if any(x % d for x in A[i][t + 1:])), None)
+            if fix is None:
+                break
+            row_op(t, fix, -1)
+            move_min_pivot(t)
+        pivots.append((first, abs(A[t][t])))
+        if A[t][t] < 0:
+            row_op(t, t, 2)
+        t += 1
+    return A, rows, cols, pivots
+
+
+def unit_branch_cases():
+    """Seeded matrices for the unit-pivot branch of `_smith`: unit-rich ones
+    with -1 entries, ones whose pivots start non-unit, zero rows and columns,
+    1 x n and n x 1, and the chain spans of seeded point subsets of every
+    size of the 16-point and the 9-point model."""
+    rng = random.Random(21)
+    for k in range(900):
+        kind = k % 6
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if kind == 4:
+            m, n = (1, rng.randint(1, 9)) if k % 12 < 6 else (rng.randint(1, 9), 1)
+        values = ([-1, -1, 0, 0, 1, 2, -3] if kind in (0, 4) else
+                  [0, 2, -2, 3, -3, 4, 5, -6] if kind == 1 else
+                  [0, 0, 0, -1, 1, 2] if kind == 2 else list(range(-9, 10)))
+        M = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if kind == 3:  # a zero row and a zero column
+            M[rng.randrange(m)] = [0] * n
+            j = rng.randrange(n)
+            for row in M:
+                row[j] = 0
+        if kind == 5:  # a negated identity block: every pivot is -1
+            for i in range(min(m, n)):
+                M[i] = [-int(i == j) if j < min(m, n) else x for j, x in enumerate(M[i])]
+        yield M
+    for model in (finite_geometry.kummer_lattice, finite_geometry.ag23_lattice):
+        cfg = model()[1]
+        for c in range(1, cfg.count + 1):
+            for _ in range(3):
+                members = sorted(rng.sample(range(cfg.count), c))
+                yield [list(v[:cfg.ambient.rank]) for i in members for v in cfg.chains[i]]
+
+
+def test_unit_pivot_branch_matches_the_general_elimination():
+    """D and both logs of `_smith` equal the reference elimination's, so P and
+    Q do too; the cases cover a unit pivot from the start, a -1 pivot, a
+    non-unit pivot that a re-pivot turns into a unit, and a non-unit pivot
+    that stays one."""
+    seen = set()  # (first pivot a unit, final pivot a unit) for each t
+    negative_units = count = 0
+    for M in unit_branch_cases():
+        D, rows, cols, pivots = reference_smith(M)
+        assert _smith(M) == (D, rows, cols), M
+        seen.update((first == 1, final == 1) for first, final in pivots)
+        negative_units += sum(i == j and q == 2 and D[i][i] == 1 for i, j, q in rows)  # sign fixes
+        count += 1
+    assert count == 900 + 3 * (16 + 9)
+    assert seen == {(True, True), (False, True), (False, False)} and negative_units
 
 
 def leibniz_det(M):
@@ -617,6 +746,18 @@ def test_non_integral_entry_is_refused_not_truncated(call, message):
     """int() would truncate the entry; the ValueError names its row and column."""
     with pytest.raises(ValueError, match=message + " is not an integer"):
         call()
+
+
+@pytest.mark.parametrize("value", ["3", " 3", b"3", bytearray(b"3"), ""],
+                         ids=["str", "padded_str", "bytes", "bytearray", "empty_str"])
+def test_checked_int_refuses_strings_and_bytes(value):
+    with pytest.raises(ValueError, match=r"^row 1, column 2: .* is not an integer$"):
+        checked_int(value, ("row", 1), ("column", 2))
+
+
+def test_checked_int_passes_ints_bools_and_integral_numbers():
+    values = [checked_int(x, ("p",)) for x in (3, True, False, 3.0, Fraction(6, 2))]
+    assert values == [3, 1, 0, 3, 3] and all(type(v) is int for v in values)
 
 
 def test_integral_floats_and_fractions_pass_as_ints():

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -20,6 +21,7 @@ from k3lat.lattice_core import (
     catalog_lattice,
     identity_matrix,
     is_prime,
+    left_kernel_mod_p,
     parse_lattice,
     primitive_closure,
 )
@@ -110,6 +112,19 @@ def test_float_p_is_stored_as_an_int():
     assert find_p_divisible_subsets(cfg) == []
     with pytest.raises(ValueError, match=r"^p: 3\.5 is not an integer$"):
         ChainConfiguration(a2, 3.5, (((1, 0), (0, 1)),))
+
+
+@pytest.mark.parametrize("p,chains,message", [
+    ("3", (((1, 0), (0, 1)),), r"^p: '3' is not an integer$"),
+    (b"3", (((1, 0), (0, 1)),), r"^p: b'3' is not an integer$"),
+    (3, ((("1", 0), (0, 1)),), r"^chain 0, class 0, coordinate 0: '1' is not an integer$"),
+    (3, (((1, 0), (0, bytearray(b"1"))),),
+     r"^chain 0, class 1, coordinate 1: bytearray\(b'1'\) is not an integer$"),
+], ids=["str_p", "bytes_p", "str_entry", "bytearray_entry"])
+def test_string_p_and_entries_are_refused(p, chains, message):
+    """int() would parse a numeric string; the ValueError names the field."""
+    with pytest.raises(ValueError, match=message):
+        ChainConfiguration(catalog_lattice("A2"), p, chains)
 
 
 def test_single_a1_in_rank_one_model_is_primitive():
@@ -294,16 +309,16 @@ def brute_force_witnesses(cfg):
     otherwise), then scaled to a leading 1."""
     p, rank = cfg.p, cfg.ambient.rank
     n = cfg.vector_length if p == 2 else rank
+    # column j of the weighted chain classes: sum_k k chain_i[k-1][j] for each chain i
+    columns = [[sum(k * chain[k - 1][j] for k in range(1, p)) for chain in cfg.chains]
+               for j in range(cfg.vector_length)]
 
     def weighted_sum(d, length):
-        return [
-            sum(d[i] * k * cfg.chains[i][k - 1][j] for i in range(len(d)) for k in range(1, p))
-            for j in range(length)
-        ]
+        return [sum(map(mul, d, column)) for column in columns[:length]]
 
     found = set()
     for d in product(range(p), repeat=cfg.count):
-        if any(d) and all(x % p == 0 for x in weighted_sum(d, n)):
+        if any(d) and all(sum(map(mul, d, column)) % p == 0 for column in columns[:n]):
             unit = pow(next(x for x in d if x), -1, p)
             found.add(tuple(x * unit % p for x in d))
     out = []
@@ -342,6 +357,69 @@ def test_search_matches_brute_force_oracle():
         assert got == expected, (cfg.p, cfg.count)
         nonempty += bool(expected)
     assert nonempty >= 10
+
+
+def isotropic_code(rng, p, c, dim):
+    """A seeded basis of up to ``dim`` independent words of F_p^c (p odd),
+    pairwise orthogonal and each of square sum 0 mod p, so a valid glue code;
+    fewer when no larger one is found (one exists only up to the Witt index
+    of the sum of squares: c // 2, less one when c = 2 mod 4 and p = 3 mod 4)."""
+    basis = []
+    for _ in range(4000):
+        if len(basis) == dim:
+            break
+        w = [rng.randrange(p) for _ in range(c)]
+        if sum(x * x for x in w) % p or any(sum(map(mul, w, v)) % p for v in basis):
+            continue
+        if not left_kernel_mod_p(basis + [w], p):  # independent of the words so far
+            basis.append(w)
+    return basis
+
+
+def test_odd_p_search_matches_brute_force_on_larger_kernels():
+    """Glue models with p = 3 (c <= 8), 5 (c <= 6) and 7 (c <= 5) against the
+    brute-force oracle, with kernels of dimension up to 4, 3 and 2: so
+    combinations of three or more kernel vectors with multipliers x >= 2 are
+    enumerated.  A glue code is isotropic, so its dimension is at most c // 2,
+    and for p = 7 dimension 3 needs c = 7, where the brute force reads 7^7
+    vectors; that model is checked against the words of its glue code, which
+    are exactly the kernel, with each quotient summed directly."""
+    rng = random.Random(21)
+    largest = {}
+    for p, cmax in ((3, 8), (5, 6), (7, 5)):
+        for c in range(1, cmax + 1):
+            for _ in range(2):
+                code = isotropic_code(rng, p, c, c // 2)
+                cfg = glue_overlattice(p, c, code)[1]
+                expected = brute_force_witnesses(cfg)
+                assert len(expected) == (p ** len(code) - 1) // (p - 1), (p, c)
+                got = [(w.subset, w.coefficients, w.quotient_class)
+                       for w in find_p_divisible_subsets(cfg)]
+                assert got == expected, (p, c, code)
+                largest[p] = max(largest.get(p, 0), len(code))
+    assert largest == {3: 4, 5: 3, 7: 2}
+
+    code = isotropic_code(rng, 7, 7, 3)
+    assert len(code) == 3
+    cfg = glue_overlattice(7, 7, code)[1]
+    words = set()
+    for x in product(range(7), repeat=3):
+        word = [sum(a * v[i] for a, v in zip(x, code)) % 7 for i in range(7)]
+        if any(word):
+            unit = pow(next(v for v in word if v), -1, 7)
+            words.add(tuple(v * unit % 7 for v in word))
+    expected = []
+    for word in words:
+        total = [0] * cfg.ambient.rank
+        for i, d in enumerate(word):
+            if d:
+                total = [t + x for t, x in zip(total, weighted_chain_class(cfg.chains[i], d))]
+        assert all(t % 7 == 0 for t in total)
+        support = tuple(i for i, d in enumerate(word) if d)
+        expected.append((support, tuple(word[i] for i in support), tuple(t // 7 for t in total)))
+    expected.sort(key=lambda w: (len(w[0]), w[0], w[1]))
+    got = [(w.subset, w.coefficients, w.quotient_class) for w in find_p_divisible_subsets(cfg)]
+    assert len(got) == 57 and got == expected
 
 
 def brute_force_gram_error(ambient, p, chains):
