@@ -26,6 +26,7 @@ from .groups import (
     group_from_presentation,
     is_isomorphic,
 )
+from .lattice_core import typed
 
 
 class CliError(Exception):
@@ -116,19 +117,12 @@ def _fields(what: str):
         raise CliError(f"bad {what}: {exc}") from exc
 
 
-def _as_object(obj) -> dict:
-    """The top level of a JSON input that must be an object; use inside ``_fields``."""
-    if not isinstance(obj, dict):
-        raise TypeError("the top level must be a JSON object")
-    return obj
-
-
 def _config_from_json(obj):
     with _fields("configuration"):
         return root_config.ChainConfiguration(
-            ambient=lattice_core.parse_lattice(_as_object(obj)["ambient"]),
-            p=int(obj["p"]),
-            chains=tuple(tuple(tuple(int(x) for x in v) for v in ch) for ch in obj["chains"]),
+            ambient=lattice_core.parse_lattice(typed(obj, dict, "the top level")["ambient"]),
+            p=typed(obj["p"], int, "p"),
+            chains=typed(obj["chains"], [[[int]]], "chains"),
         )
 
 
@@ -140,7 +134,7 @@ def _cmd_lattice(args):
     if args.op == "snf":
         M = _load_json_arg(_require(args, "matrix"))
         with _fields("matrix"):
-            M = lattice_core.copy_matrix(M)
+            M = lattice_core.copy_matrix(typed(M, [list], "matrix"))
         D, P, Q = lattice_core.smith_normal_form(M)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         return 0, {"diagonal": diag, "D": D, "P": P, "Q": Q}, [f"diagonal: {diag}"]
@@ -152,12 +146,9 @@ def _cmd_lattice(args):
         return 0, {"invariants": list(inv.factors), "order": inv.order}, [
             f"discriminant group: {inv} (order {inv.order})"
         ]
-    obj = _load_json_arg(_require(args, "basis"))
     with _fields("basis"):
-        basis = tuple(tuple(int(x) for x in v) for v in obj)
-    closure, glue = lattice_core.primitive_closure(
-        lattice_core.EmbeddedSublattice(lat, basis)
-    )
+        basis = typed(_load_json_arg(_require(args, "basis")), [[int]], "basis")
+    closure, glue = lattice_core.primitive_closure(lattice_core.EmbeddedSublattice(lat, basis))
     return 0, {"closure_basis": closure, "glue": list(glue.factors)}, [
         f"glue group: {glue}",
         f"closure basis: {closure}",
@@ -225,7 +216,7 @@ def _cmd_geometry(args):
 def _cmd_fibration(args):
     obj = _load_json_arg(args.spec)
     with _fields("fibration"):
-        spec = elliptic.parse_fibration(_as_object(obj))
+        spec = elliptic.parse_fibration(obj)
     if args.op == "validate":
         report = elliptic.validate_fibration(spec)
         payload = {
@@ -241,9 +232,9 @@ def _cmd_fibration(args):
         return 0, {"section": args.section, "height": h}, [f"h({args.section}) = {h}"]
     rel = _load_json_arg(_require(args, "relation"))
     with _fields("relation"):
-        lhs = elliptic.parse_divisor(_as_object(rel)["lhs"])
-        rhs = elliptic.parse_divisor(rel["rhs"])
-        p = int(rel["p"])
+        lhs = elliptic.parse_divisor(typed(rel, dict, "the top level")["lhs"], "lhs")
+        rhs = elliptic.parse_divisor(rel["rhs"], "rhs")
+        p = typed(rel["p"], int, "p")
     ok = elliptic.verify_divisibility_relation(spec, lhs, p, rhs)
     return (0 if ok else 1), {"verified": ok, "p": rel["p"]}, [
         f"relation {'holds' if ok else 'fails'} (p = {rel['p']})"
@@ -261,11 +252,11 @@ def _cmd_groups(args):
         elif args.bound > MAX_COSET_BOUND:
             raise CliError(f"--bound {args.bound} is above {MAX_COSET_BOUND} cosets")
         else:
-            obj = _load_json_arg(_require(args, "presentation"))
             try:
                 with _fields("presentation"):
-                    obj = _as_object(obj)
-                    pres = GroupPresentation(tuple(obj["gens"]), tuple(obj["rels"]))
+                    obj = typed(_load_json_arg(args.presentation), dict, "the top level")
+                    pres = GroupPresentation(tuple(typed(obj["gens"], [str], "gens")),
+                                             tuple(typed(obj["rels"], [str], "rels")))
                     table = group_from_presentation(pres, bound=args.bound)
             except EnumerationBound as exc:
                 raise CliError(str(exc)) from exc

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice_core import (
-    GramLattice, identity_matrix, mat_mul, solve_left, span_coordinates, transpose,
+    GramLattice, identity_matrix, mat_mul, solve_left, span_coordinates, transpose, typed,
 )
 
 FIBRE_SYMBOL = "F"
@@ -203,54 +203,41 @@ class FibrationSpec:
             raise ValueError(f"no recorded intersection number for sections {a}, {b}") from None
 
 
-_JSON_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
-
-
-def _typed(value, kind: type, path: str):
-    """``value`` when it has the JSON type ``kind`` (a boolean is no integer);
-    else a ValueError naming its path."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{path} must be {_JSON_TYPE_NAMES[kind]}")
-    return value
-
-
 def parse_fibration(obj: dict) -> FibrationSpec:
     """Parse the JSON fibration format; a field of the wrong JSON type is refused by its path."""
+    typed(obj, dict, "the top level")
     fibres = []
-    for i, f in enumerate(_typed(obj["fibres"], list, "fibres")):
+    for i, f in enumerate(typed(obj["fibres"], list, "fibres")):
         at = f"fibres[{i}]"
-        _typed(f, dict, at)
+        typed(f, dict, at)
         fibres.append(
             KodairaFibre(
-                kind=_typed(f["type"], str, f"{at}.type"),
-                fibre_id=_typed(f.get("id", f"fib{i}"), str, f"{at}.id"),
-                labels=tuple(
-                    _typed(label, str, f"{at}.labels[{j}]")
-                    for j, label in enumerate(_typed(f["labels"], list, f"{at}.labels"))
-                ),
-                n=_typed(f.get("n", 0), int, f"{at}.n"),
+                kind=typed(f["type"], str, f"{at}.type"),
+                fibre_id=typed(f.get("id", f"fib{i}"), str, f"{at}.id"),
+                labels=tuple(typed(f["labels"], [str], f"{at}.labels")),
+                n=typed(f.get("n", 0), int, f"{at}.n"),
             )
         )
     sections = []
-    for i, s in enumerate(_typed(obj.get("sections", []), list, "sections")):
+    for i, s in enumerate(typed(obj.get("sections", []), list, "sections")):
         at = f"sections[{i}]"
-        _typed(s, dict, at)
+        typed(s, dict, at)
         sections.append(
             SectionIncidence(
-                name=_typed(s["name"], str, f"{at}.name"),
+                name=typed(s["name"], str, f"{at}.name"),
                 meets={
-                    fid: _typed(label, str, f"{at}.meets[{fid!r}]")
-                    for fid, label in _typed(s.get("meets", {}), dict, f"{at}.meets").items()
+                    fid: typed(label, str, f"{at}.meets[{fid!r}]")
+                    for fid, label in typed(s.get("meets", {}), dict, f"{at}.meets").items()
                 },
-                dot_zero=_typed(s.get("dot_zero", 0), int, f"{at}.dot_zero"),
-                dots=dict(_typed(s.get("dots", {}), dict, f"{at}.dots")),
+                dot_zero=typed(s.get("dot_zero", 0), int, f"{at}.dot_zero"),
+                dots=dict(typed(s.get("dots", {}), dict, f"{at}.dots")),
             )
         )
-    if _typed(obj.get("chi", CHI), int, "chi") != CHI:
+    if typed(obj.get("chi", CHI), int, "chi") != CHI:
         raise ValueError("only chi = 2 surfaces are modelled")
     return FibrationSpec(
         fibres=tuple(fibres),
-        zero_section=_typed(obj["zero_section"], str, "zero_section"),
+        zero_section=typed(obj["zero_section"], str, "zero_section"),
         sections=tuple(sections),
         name=obj.get("name"),
     )
@@ -424,8 +411,8 @@ def fibre_relation(fibre: KodairaFibre) -> dict:
     return rel
 
 
-def parse_divisor(obj: dict) -> dict:
-    """Divisor JSON: symbol -> integer or rational string 'a/b'."""
-    if not isinstance(obj, dict):
-        raise ValueError("a divisor must be an object mapping symbols to coefficients")
-    return {k: Fraction(v) for k, v in obj.items()}
+def parse_divisor(obj: dict, path: str = "divisor") -> dict:
+    """Divisor JSON: symbol -> integer, or string in ``fractions.Fraction`` syntax
+    (``"1/3"``; ``"1.5"`` is 3/2); another coefficient is refused by its path."""
+    return {k: Fraction(v if isinstance(v, str) else typed(v, int, f"{path}[{k!r}]"))
+            for k, v in typed(obj, dict, path).items()}

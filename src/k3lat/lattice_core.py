@@ -57,6 +57,21 @@ def checked_int(x, *where: tuple) -> int:
     return int(x)
 
 
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def typed(value, kind, path: str):
+    """``value`` when it has the JSON type ``kind``: int (a bool is none), str, list,
+    dict, or ``[k]`` for a list of items of type k, checked recursively; else a
+    ValueError naming the path of the value at fault, such as ``chains[0][1][2]``."""
+    if isinstance(kind, list):
+        for i, item in enumerate(typed(value, list, path)):
+            typed(item, kind[0], f"{path}[{i}]")
+    elif not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise ValueError(f"{path} must be {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
 def copy_matrix(M: Sequence[Sequence[int]]) -> list[list[int]]:
     """A fresh copy of M with int entries; one type scan, in C, passes an int matrix as it is."""
     A = [list(row) for row in M]
@@ -689,7 +704,7 @@ def parse_lattice(obj) -> GramLattice:
         return catalog_lattice(obj)
     if isinstance(obj, dict):
         if "gram" in obj:
-            lat = GramLattice(obj["gram"], name=obj.get("name"))
+            lat = GramLattice(typed(obj["gram"], [list], "gram"), name=obj.get("name"))
             if lat.name is not None:
                 try:
                     expected = catalog_lattice(lat.name)
@@ -703,7 +718,7 @@ def parse_lattice(obj) -> GramLattice:
                     )
             return lat
         if "sum" in obj:
-            items = obj["sum"]
+            items = typed(obj["sum"], list, "sum")
             parts, rank = [], 0
             for i, item in enumerate(items):
                 parts.append(parse_lattice(item))

@@ -8,7 +8,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .classifier import EnriquesInput, FactsError, K3Input, TableRow, enriques_classify, k3_classify
+from .classifier import (
+    EnriquesInput, FactsError, K3Input, TableRow, enriques_classify, k3_classify, table_lookup,
+)
 from .elliptic import FibrationSpec, class_lattice
 from .root_config import (
     ChainConfiguration,
@@ -17,16 +19,20 @@ from .root_config import (
     find_p_divisible_subsets,
 )
 
-# (p, c) -> (word size, letter): there the configuration holds one divisible
-# word of that size, or is the union of two; elsewhere primitivity decides
-_K3_WORDS = {(2, 12): (8, "H"), (3, 8): (6, "R")}
+
+def _k3_word(p: int, c: int):
+    """(word size, letter) of Table 1's one_* row at (p, c), read off its tower and
+    its condition's suffix; None where Table 1 has no such row."""
+    return next(((r["tower"][0], r["condition"][4:]) for r in table_lookup(1, p=p, c=c)
+                 if r["condition"].startswith("one_")), None)
 
 
 def k3_facts(p: int, c: int, witnesses: Sequence[DivisibleSubsetWitness]) -> str:
-    """The Table 1 condition met by a c-chain configuration with these witnesses."""
-    if (p, c) not in _K3_WORDS:
+    """The Table 1 condition met by a c-chain configuration with these witnesses: one
+    divisible word, or the union of two, where Table 1 has a word; else primitivity."""
+    if (word := _k3_word(p, c)) is None:
         return "nonprimitive" if witnesses else "primitive"
-    size, letter = _K3_WORDS[p, c]
+    size, letter = word
     words = [set(w.subset) for w in witnesses if len(w.subset) == size]
     if len(words) == 1:
         return f"one_{letter}"

@@ -150,6 +150,30 @@ def test_k3_finite_orders_match_tower():
         assert order == p ** len(row["tower"])
 
 
+def _tower_faults(rows) -> list[int]:
+    """The numbers of the Table 1 rows with a tower entry other than the c of the
+    K3 cover of Lemma 13 for the row's p."""
+    k3_c = {p: c for p, c, kind in cover_euler_solutions() if kind == "K3"}
+    return [r["no"] for r in rows if any(t != k3_c.get(r["p"]) for t in r["tower"])]
+
+
+def test_k3_words_are_the_k3_cover_sizes():
+    """The word sizes the pipeline reads off Table 1's one_* rows are the c of the
+    K3 cover for their p, (2, 8) and (3, 6), as is every tower entry of the table;
+    a copy of the table with one tower entry changed is caught."""
+    from k3lat.pipeline import _k3_word
+
+    k3_c = {p: c for p, c, kind in cover_euler_solutions() if kind == "K3"}
+    words = {(p, c): _k3_word(p, c) for p in (2, 3, 5, 7, 11) for c in range(1, 20)}
+    words = {pc: word for pc, word in words.items() if word is not None}
+    assert words == {(2, 12): (8, "H"), (3, 8): (6, "R")}
+    assert all(size == k3_c[p] for (p, _), (size, _) in words.items())
+    rows = table_lookup(1)
+    assert _tower_faults(rows) == []
+    rows[2] = {**rows[2], "tower": [9]}
+    assert _tower_faults(rows) == [3]
+
+
 # ---------------------------------------------------------------------------
 # Enriques classification
 

@@ -14,6 +14,12 @@ from k3lat.data import data_dir
 
 MP108 = str(data_dir() / "mp108.json")
 MP108_RELATION = str(data_dir() / "mp108_relation.json")
+MP9 = str(data_dir() / "mp9.json")
+
+
+def mp9_relation_with_p(p):
+    """The bundled mp9 relation as JSON text, with its ``p`` replaced."""
+    return json.dumps({**json.loads((data_dir() / "mp9_relation.json").read_text()), "p": p})
 
 
 def mp108_edited(edit):
@@ -378,6 +384,30 @@ def test_malformed_json_exit_2(capsys):
          "bad matrix: row 0, column 0: '2' is not an integer"),
         (["lattice", "disc", "--lattice", '{"gram":[[2,"1"],[1,2]]}'],
          "bad lattice: row 0, column 1: '1' is not an integer"),
+        # every JSON field is read by one typed reader, which names the field's path
+        (["config", "divisible", "--config", '{"ambient":"A2","p":"3","chains":[]}'],
+         "bad configuration: p must be an integer"),
+        (["config", "divisible", "--config", '{"ambient":"A2","p":3,"chains":[[["1",0],[0,1]]]}'],
+         "bad configuration: chains[0][0][0] must be an integer"),
+        (["config", "divisible", "--config", '{"ambient":"A2","p":3,"chains":7}'],
+         "bad configuration: chains must be a list"),
+        (["lattice", "closure", "--lattice", '"A2"', "--basis", '[["1",0]]'],
+         "bad basis: basis[0][0] must be an integer"),
+        (["lattice", "closure", "--lattice", '"A2"', "--basis", '{"a":1}'],
+         "bad basis: basis must be a list"),
+        (["lattice", "snf", "--matrix", '{"a":1}'], "bad matrix: matrix must be a list"),
+        (["lattice", "disc", "--lattice", '{"sum":"A2"}'], "bad lattice: sum must be a list"),
+        (["lattice", "disc", "--lattice", '{"gram":5}'], "bad lattice: gram must be a list"),
+        (["fibration", "relation", "--spec", MP9, "--relation", mp9_relation_with_p("5")],
+         "bad relation: p must be an integer"),
+        (["fibration", "relation", "--spec", MP9, "--relation", mp9_relation_with_p("6")],
+         "bad relation: p must be an integer"),
+        (["groups", "build", "--presentation", '{"gens":"ab","rels":[]}'],
+         "bad presentation: gens must be a list"),
+        (["groups", "build", "--presentation", '{"gens":["a"],"rels":"a2"}'],
+         "bad presentation: rels must be a list"),
+        (["fibration", "relation", "--spec", MP108, "--relation",
+          '{"lhs":{"A1":[1]},"rhs":{},"p":3}'], "bad relation: lhs['A1'] must be an integer"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):
@@ -489,6 +519,8 @@ def _mutate(value, draw, rng):
     if not isinstance(value, (list, dict)) or not value or rng.random() < 0.1:
         if isinstance(value, int) and rng.random() < 0.5:  # keep the type, to get further in
             return draw(st.integers(-3, 30) | st.integers())
+        if isinstance(value, int) and rng.random() < 0.3:  # the same number as a string
+            return str(value)
         return draw(_SCALARS if rng.random() < 0.5 else _JSON)
     key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
     out = dict(value) if isinstance(value, dict) else list(value)
@@ -530,3 +562,73 @@ def test_fuzzed_json_options_exit_0_1_or_2(data):
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
     if code == 2:
         assert err.getvalue().startswith("error:") and out.getvalue() == "", argv
+
+
+# ---------------------------------------------------------------------------
+# every integer a command reads refuses its decimal string, by the leaf's path
+
+def _seeded_argv(command, option=None, text=None):
+    """``command`` with each JSON option given its seed document, except ``option``,
+    which is given ``text``."""
+    argv = []
+    for token in command:
+        argv.append(token)
+        if token[2:] in _SEEDS:
+            argv.append(text if token[2:] == option else json.dumps(_SEEDS[token[2:]]))
+    return argv
+
+
+def _int_leaves(value, path=()):
+    """(path, leaf) for every integer leaf of a JSON value; a path is a tuple of keys
+    and indices."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _int_leaves(item, path + (key,))
+    elif isinstance(value, int):
+        yield path, value
+
+
+def _refusal(option, path, value):
+    """The refusal that names the integer leaf at ``path`` given as the string ``value``:
+    a matrix entry by its row and column, any other leaf by its path."""
+    if option == "matrix" or "gram" in path:
+        return "row {}, column {}: {!r} is not an integer".format(*path[-2:], value)
+    text = option if option == "basis" else ""  # the one list document read at the top
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return f"{text} must be an integer"
+
+
+def _with_leaf(value, path, leaf):
+    """A copy of a JSON value with the leaf at ``path`` replaced by ``leaf``."""
+    if not path:
+        return leaf
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _with_leaf(value[path[0]], path[1:], leaf)
+    return out
+
+
+def _unread(option, path):
+    """Integer leaves a command does not read as integers: divisor coefficients, which
+    may be rational strings, and the ignored ``kw_mod2`` and ``mw_order``."""
+    return ("kw_mod2" in path or "mw_order" in path
+            or option == "relation" and path[0] in ("lhs", "rhs"))
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+def test_numeric_string_for_an_integer_is_refused_by_its_path(capsys, command):
+    """The seeds run; each seed with one integer leaf that the command reads replaced
+    by its decimal string exits 2 and names the leaf."""
+    assert run_capture(capsys, _seeded_argv(command))[0] == 0
+    checked = 0
+    for option in (token[2:] for token in command if token[2:] in _SEEDS):
+        for path, leaf in _int_leaves(_SEEDS[option]):
+            if _unread(option, path):
+                continue
+            value = str(leaf)
+            text = json.dumps(_with_leaf(_SEEDS[option], path, value))
+            code, out, err = run_capture(capsys, _seeded_argv(command, option, text))
+            assert code == 2 and out == "", (option, path)
+            assert _refusal(option, path, value) in err and "Traceback" not in err, (path, err)
+            checked += 1
+    assert checked or command[0] == "groups"  # a presentation holds no integer
