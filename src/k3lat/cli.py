@@ -120,7 +120,9 @@ def _fields(what: str):
 def _config_from_json(obj):
     with _fields("configuration"):
         return root_config.ChainConfiguration(
-            ambient=lattice_core.parse_lattice(typed(obj, dict, "the top level")["ambient"]),
+            ambient=lattice_core.parse_lattice(
+                typed(obj, dict, "the top level")["ambient"], "ambient"
+            ),
             p=typed(obj["p"], int, "p"),
             chains=typed(obj["chains"], [[[int]]], "chains"),
         )

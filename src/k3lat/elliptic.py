@@ -397,7 +397,12 @@ def in_radical(spec: FibrationSpec, v: Sequence[Fraction]) -> bool:
 
 
 def verify_divisibility_relation(spec: FibrationSpec, lhs: dict, p: int, rhs: dict) -> bool:
-    """True when lhs - p * rhs pairs to zero with every formal generator."""
+    """True when lhs - p * rhs pairs to zero with every formal generator.
+
+    p must be an int of at least 2 (a bool is none); anything else is refused
+    with a ValueError naming p."""
+    if type(p) is not int or p < 2:
+        raise ValueError(f"p must be an integer of at least 2, not {p!r}")
     vl = divisor_vector(spec, lhs)
     vr = divisor_vector(spec, rhs)
     v = [a - p * b for a, b in zip(vl, vr)]
@@ -414,5 +419,13 @@ def fibre_relation(fibre: KodairaFibre) -> dict:
 def parse_divisor(obj: dict, path: str = "divisor") -> dict:
     """Divisor JSON: symbol -> integer, or string in ``fractions.Fraction`` syntax
     (``"1/3"``; ``"1.5"`` is 3/2); another coefficient is refused by its path."""
-    return {k: Fraction(v if isinstance(v, str) else typed(v, int, f"{path}[{k!r}]"))
-            for k, v in typed(obj, dict, path).items()}
+    return {k: _coefficient(v, f"{path}[{k!r}]") for k, v in typed(obj, dict, path).items()}
+
+
+def _coefficient(value, path: str) -> Fraction:
+    if not isinstance(value, str):
+        return Fraction(typed(value, int, path))
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # "abc" and "1/0"
+        raise ValueError(f"{path} is not a number: {value!r}") from None

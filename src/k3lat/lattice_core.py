@@ -522,31 +522,15 @@ class GramLattice:
         """max |G_ij|, scanned once per lattice on first use (0 at rank 0)."""
         return max(map(abs, chain.from_iterable(self.gram)), default=0)
 
-    def gram_image(self, v: Sequence[int]) -> list[int]:
-        """The row vector v·G over the first ``rank`` entries of v.
-
-        It is the sum of v_k times row k of G over the nonzero v_k, so a
-        sparse v (a root class, say) costs only its nonzero entries.
-        Pairing the image with w is then one length-``rank`` inner product,
-        ``sum(map(mul, image, w))``, which ignores entries of w past ``rank``.
-        """
-        if len(v) < self.rank:
-            raise ValueError("vector shorter than the lattice rank")
-        image = None
-        for x, row in zip(v, self.gram):
-            if not x:
-                continue
-            if image is None:
-                image = [x * g for g in row]
-            else:
-                image = [a + x * g for a, g in zip(image, row)]
-        return image if image is not None else [0] * self.rank
-
     def dot(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """v·G·w over the first ``rank`` entries: the image of v paired with w."""
-        if len(w) < self.rank:
+        """v·G·w over the first ``rank`` entries of v and w.
+
+        It is the sum of v_k times row k of G paired with w over the nonzero
+        v_k, so a sparse v (a root class, say) costs only its nonzero entries.
+        """
+        if len(v) < self.rank or len(w) < self.rank:
             raise ValueError("vector shorter than the lattice rank")
-        return sum(map(mul, self.gram_image(v), w))
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
 
     def direct_sum(self, other: "GramLattice", name: Optional[str] = None) -> "GramLattice":
         return GramLattice(block_diagonal([self.gram, other.gram]), name=name)
@@ -698,30 +682,34 @@ def catalog_lattice(name: str) -> GramLattice:
     raise ValueError(f"unknown catalog lattice {name!r}")
 
 
-def parse_lattice(obj) -> GramLattice:
-    """Parse the JSON lattice format: a catalog name, {"gram": ...}, or {"sum": [...]}."""
+def parse_lattice(obj, path: str = "") -> GramLattice:
+    """Parse the JSON lattice format: a catalog name, {"gram": ...}, or {"sum": [...]}.
+
+    A malformed field is named by its path below ``path``, such as ``sum[0].gram``."""
+    field = f"{path}." if path else ""
     if isinstance(obj, str):
         return catalog_lattice(obj)
     if isinstance(obj, dict):
+        name = typed(obj["name"], str, f"{field}name") if "name" in obj else None
         if "gram" in obj:
-            lat = GramLattice(typed(obj["gram"], [list], "gram"), name=obj.get("name"))
-            if lat.name is not None:
+            lat = GramLattice(typed(obj["gram"], [list], f"{field}gram"), name=name)
+            if name is not None:
                 try:
-                    expected = catalog_lattice(lat.name)
+                    expected = catalog_lattice(name)
                 except CatalogRankError:
                     raise
                 except ValueError:
                     expected = None  # a free-form label, not a catalog name
                 if expected is not None and expected.gram != lat.gram:
                     raise ValueError(
-                        f"gram matrix does not match the catalog entry for {lat.name!r}"
+                        f"gram matrix does not match the catalog entry for {name!r}"
                     )
             return lat
         if "sum" in obj:
-            items = typed(obj["sum"], list, "sum")
+            items = typed(obj["sum"], list, f"{field}sum")
             parts, rank = [], 0
             for i, item in enumerate(items):
-                parts.append(parse_lattice(item))
+                parts.append(parse_lattice(item, f"{field}sum[{i}]"))
                 rank += parts[-1].rank
                 if rank > MAX_CATALOG_RANK:  # refused before the sum's Gram matrix is built
                     raise CatalogRankError(
@@ -732,8 +720,10 @@ def parse_lattice(obj) -> GramLattice:
                 raise ValueError("'sum' needs at least one lattice")
             return GramLattice(
                 block_diagonal([p.gram for p in parts]),
-                name=obj.get("name", " + ".join(str(s) for s in items)),
+                name=name if name is not None else " + ".join(str(s) for s in items),
             )
-        if "name" in obj:
-            return catalog_lattice(obj["name"])
-    raise ValueError("lattice must be a catalog name or an object with 'gram' or 'sum'")
+        if name is not None:
+            return catalog_lattice(name)
+    raise ValueError(
+        f"{path or 'lattice'} must be a catalog name or an object with 'gram' or 'sum'"
+    )

@@ -83,11 +83,7 @@ class ChainConfiguration:
             for v in chain:
                 if len(v) != n:
                     raise ValueError("inconsistent vector lengths")
-        if self.count * (self.p - 1) <= 4:  # ten pairings at most: the loop is the cheaper check
-            self._check_gram()
-        elif not self._gram_identity_holds():
-            self._check_gram()
-            raise AssertionError("the packed Gram identity failed, but every pair checks")
+        self._check_gram()
 
     @property
     def vector_length(self) -> int:
@@ -95,71 +91,58 @@ class ChainConfiguration:
             return self.ambient.rank
         return len(self.chains[0][0])
 
-    def _gram_identity_holds(self) -> bool:
-        """The whole Gram check as one exact identity over packed integers.
-
-        V is the m x r matrix of the classes, cut to r = ``ambient.rank``
-        (torsion bits are not paired), B the block-diagonal matrix of the
-        A_{p-1} blocks and x = (X^0, ..., X^{m-1}) with X = 2^s.  The check
-        is V (G (V^T x)) = B x.  Every entry of E = V G V^T - B satisfies
-        |E_ab| <= M = r^2 max|V|^2 max|G| + 2, and X > M; so sum_b E_ab X^b
-        = 0 forces E_ab = 0 digit by digit (the lowest digit is 0 mod X and
-        smaller than X, so it is 0; divide by X and repeat).  The identity is
-        therefore exact, not probabilistic.  V^T x, G (V^T x) and V times
-        that are r + r + m inner products, each one C-level call, in place of
-        the m(m+1)/2 pairings of ``_check_gram``; G (V^T x) is taken against
-        the rows of G, since the packed vector is dense.  max|G| is read from
-        ``GramLattice.max_abs_entry``, scanned once per lattice.
-        """
-        r = self.ambient.rank
-        rows = [v[:r] for chain in self.chains for v in chain]
-        vmax = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
-        s = (r * r * vmax * vmax * self.ambient.max_abs_entry + 2).bit_length()  # 2^s > M
-        powers = [1 << (s * a) for a in range(len(rows))]
-        packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
-        image = [sum(map(mul, g, packed)) for g in self.ambient.gram]
-        want = [-2 * x for x in powers]
-        for a in range(len(rows) - 1):
-            if (a + 1) % (self.p - 1):  # classes a and a+1 are neighbours in one chain
-                want[a] += powers[a + 1]
-                want[a + 1] += powers[a]
-        return [sum(map(mul, row, image)) for row in rows] == want
-
     def _check_gram(self):
         """Every class pairs as an A_{p-1} block with its own chain and to 0 with the others.
 
-        Each class's Gram image is taken once (``GramLattice.gram_image``,
-        a sum over the class's nonzero coordinates); every pairing is then
-        one inner product of an image with a class vector over the first
-        ``ambient.rank`` entries, so torsion bits are not paired.  All pairs
-        are checked, and the first failing one is reported.  The constructor
-        runs it first only for at most four classes, where its ten pairings
-        cost less than packing.  Otherwise it runs only when
-        ``_gram_identity_holds`` fails, to name the failing pair; if no pair
-        fails there, the constructor raises AssertionError, so a fault in the
-        identity cannot pass a configuration silently.
+        The check is one exact identity over packed integers.  V is the m x r
+        matrix of the classes, cut to r = ``ambient.rank`` (torsion bits are
+        not paired), B the block-diagonal matrix of the A_{p-1} blocks and
+        x = (X^0, ..., X^{m-1}) with X = 2^s.  Row a of V (G (V^T x)) is
+        sum_b P_ab X^b, where P = V G V^T holds the pairings; each satisfies
+        |P_ab| <= r^2 max|V|^2 max|G| = M - 2, and X > 2M.  So the balanced
+        base-X digits of the row are the P_ab themselves (adding X/2 to every
+        digit puts each one in [0, X), where a shift and a mask read it), and
+        the identity V (G (V^T x)) = B x holds exactly when P = B.  It takes
+        r + r + m inner products, each one C-level call, in place of m(m+1)/2
+        pairings; G (V^T x) is taken against the rows of G, since the packed
+        vector is dense, and max|G| is ``GramLattice.max_abs_entry``, scanned
+        once per lattice.  When it fails, the pairs are scanned within each
+        chain (a <= b), then across chains, and the first failing one is
+        reported.
         """
-        images = [[self.ambient.gram_image(v) for v in chain] for chain in self.chains]
-        for ci, chain in enumerate(self.chains):
-            for a, image in enumerate(images[ci]):
-                for b in range(a, len(chain)):
-                    want = -2 if a == b else (1 if b == a + 1 else 0)
-                    got = sum(map(mul, image, chain[b]))
-                    if got != want:
-                        raise ValueError(
-                            f"chain {ci} is not an A_{self.p - 1} block: "
-                            f"classes {a},{b} pair to {got}, expected {want}"
-                        )
-        for ci in range(len(self.chains)):
-            for cj in range(ci + 1, len(self.chains)):
-                for a, image in enumerate(images[ci]):
-                    for b, vb in enumerate(self.chains[cj]):
-                        got = sum(map(mul, image, vb))
-                        if got != 0:
-                            raise ValueError(
-                                f"chains {ci} and {cj} are not orthogonal "
-                                f"(classes {a},{b} pair to {got})"
-                            )
+        r, q = self.ambient.rank, self.p - 1
+        rows = [v[:r] for chain in self.chains for v in chain]
+        vmax = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+        s = (2 * (r * r * vmax * vmax * self.ambient.max_abs_entry + 2)).bit_length()  # 2^s > 2M
+        powers = [1 << (s * a) for a in range(len(rows))]
+        packed = [sum(map(mul, col, powers)) for col in zip(*rows)]
+        image = [sum(map(mul, g, packed)) for g in self.ambient.gram]
+        got = [sum(map(mul, row, image)) for row in rows]
+        want = [-2 * x for x in powers]
+        for a in range(len(rows) - 1):
+            if (a + 1) % q:  # classes a and a+1 are neighbours in one chain
+                want[a] += powers[a + 1]
+                want[a + 1] += powers[a]
+        if got == want:
+            return
+        half, mask = 1 << (s - 1), (1 << s) - 1
+        offset = half * sum(powers)  # X/2 added to every digit
+        digits = [g + offset for g in got]
+
+        def pair(a, b):
+            return (digits[a] >> (s * b) & mask) - half
+
+        for ci in range(self.count):
+            for a, b in itertools.combinations_with_replacement(range(q), 2):
+                want_ab = -2 if a == b else int(b == a + 1)
+                if (got_ab := pair(ci * q + a, ci * q + b)) != want_ab:
+                    raise ValueError(f"chain {ci} is not an A_{q} block: "
+                                     f"classes {a},{b} pair to {got_ab}, expected {want_ab}")
+        for ci, cj in itertools.combinations(range(self.count), 2):
+            for a, b in itertools.product(range(q), repeat=2):
+                if got_ab := pair(ci * q + a, cj * q + b):
+                    raise ValueError(f"chains {ci} and {cj} are not orthogonal "
+                                     f"(classes {a},{b} pair to {got_ab})")
 
     @property
     def count(self) -> int:

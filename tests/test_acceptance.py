@@ -4,6 +4,11 @@ Each criterion prints its own pass/fail line so a failing run shows the full
 scoreboard, and the same checks back the CLI ``selftest`` subcommand.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from k3lat import acceptance
@@ -70,3 +75,18 @@ def test_selftest_reports_a_failed_assertion_with_its_message(capsys, monkeypatc
     assert lines[2].startswith("FAIL  criterion 3 (bare)")
     assert lines[2].endswith(": assertion failed")
     assert lines[3] == "1/3 criteria passed"
+
+
+def test_selftest_fails_every_criterion_when_assertions_are_off():
+    """``python -O`` strips the asserts every criterion checks with, so under it
+    each criterion is a FAIL line and selftest exits 1 instead of passing unchecked."""
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-m", "k3lat.cli", "selftest"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert len(lines) == 11 and lines[-1] == "0/10 criteria passed"
+    assert all(line.startswith("FAIL") and line.endswith(": not checked: assertions are off "
+                                                         "(python -O)") for line in lines[:-1])

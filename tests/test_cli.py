@@ -408,6 +408,25 @@ def test_malformed_json_exit_2(capsys):
          "bad presentation: rels must be a list"),
         (["fibration", "relation", "--spec", MP108, "--relation",
           '{"lhs":{"A1":[1]},"rhs":{},"p":3}'], "bad relation: lhs['A1'] must be an integer"),
+        # a coefficient string that is no fraction is named by its symbol
+        (["fibration", "relation", "--spec", MP108, "--relation",
+          '{"lhs":{"A1":"abc"},"rhs":{},"p":3}'], "bad relation: lhs['A1'] is not a number: 'abc'"),
+        (["fibration", "relation", "--spec", MP108, "--relation",
+          '{"lhs":{},"rhs":{"A1":"1/0"},"p":3}'],
+         "bad relation: rhs['A1'] is not a number: '1/0'"),
+        # a relation's p is an integer of at least 2, even when both sides are 0
+        *((["fibration", "relation", "--spec", MP108, "--relation",
+            '{"lhs":{},"rhs":{},"p":%d}' % p], f"p must be an integer of at least 2, not {p}")
+          for p in (0, 1, -7)),
+        # a lattice's name is typed, and a nested field keeps its path
+        (["lattice", "disc", "--lattice", '{"gram":[[-2]],"name":5}'],
+         "bad lattice: name must be a string"),
+        (["lattice", "disc", "--lattice", '{"sum":[{"gram":5}]}'],
+         "bad lattice: sum[0].gram must be a list"),
+        (["lattice", "disc", "--lattice", '{"sum":["A1",{"sum":[{"name":7}]}]}'],
+         "bad lattice: sum[1].sum[0].name must be a string"),
+        (["config", "divisible", "--config", '{"ambient":{"gram":5},"p":3,"chains":[]}'],
+         "bad configuration: ambient.gram must be a list"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -217,6 +217,13 @@ def test_relation_invariant_under_global_scaling(rel_name):
         assert verify_divisibility_relation(spec, lhs, rel["p"], rhs)
 
 
+@pytest.mark.parametrize("p", [0, 1, -7, True, 3.0, "3"])
+def test_relation_refuses_a_p_that_is_not_an_integer_of_at_least_2(p):
+    """lhs = rhs = 0 holds for every p, so only the range check can refuse it."""
+    with pytest.raises(ValueError, match=r"^p must be an integer of at least 2, not "):
+        verify_divisibility_relation(spec_of("mp108"), {}, p, {})
+
+
 def test_fibre_relations_lie_in_radical():
     for name in BUNDLED:
         spec = spec_of(name)

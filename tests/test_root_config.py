@@ -452,8 +452,7 @@ def brute_force_gram_error(ambient, p, chains):
 
 
 def adversarial_gram_case(weakened):
-    """Six classes of three A_2 chains (more than four, so the constructor
-    takes the packed identity) whose error E = V G V^T - B is not 0, but
+    """Six classes of three A_2 chains whose error E = V G V^T - B is not 0, but
     packs to 0 under the digit width X that leaves max|G| (``"gram"``) or
     max|V|^2 (``"classes"``) out of the bound M = r^2 max|V|^2 max|G| + 2.
 
@@ -531,6 +530,8 @@ def test_gram_check_matches_brute_force_oracle():
             cases.append((cfg.ambient, p, cfg.chains))
             tcfg = with_torsion_bits(cfg, rng)
             cases.append((tcfg.ambient, p, tcfg.chains))
+    # each first chain alone: 1 class at p = 2 and 2 at p = 3 are the fewest the check meets
+    cases += [(ambient, p, chains[:1]) for ambient, p, chains in cases]
     broken, flipped_bits = [], []
     for ambient, p, chains in cases:
         rank = ambient.rank
@@ -541,10 +542,11 @@ def test_gram_check_matches_brute_force_oracle():
         broken.append((ambient, p, tuple(map(tuple, moved))))
         # one chain replaced by a copy of another: every chain is still an
         # A_{p-1} block, but the two are no longer orthogonal
-        i, j = rng.sample(range(len(chains)), 2)
-        copied = list(chains)
-        copied[j] = chains[i]
-        broken.append((ambient, p, tuple(copied)))
+        if len(chains) > 1:
+            i, j = rng.sample(range(len(chains)), 2)
+            copied = list(chains)
+            copied[j] = chains[i]
+            broken.append((ambient, p, tuple(copied)))
         # the torsion bits alone changed: the pairing must not see them
         if len(chains[0][0]) > rank:
             flipped = tuple(
