@@ -40,21 +40,15 @@ def _require(args, name: str):
     return value
 
 
-def _reject_non_integer(token: str):
-    raise CliError(f"non-integer number {token} in JSON input; only integers are accepted")
-
-
 _MAX_DEPTH = 100  # far deeper than any k3lat input, far below the recursion limit
 
 
-def _check_parsed(obj):
-    """Walk a parsed JSON value: ``true``/``false`` would otherwise pass as 1 and 0,
-    and nesting past ``_MAX_DEPTH`` would overflow the recursive parsers that read it."""
+def _check_depth(obj):
+    """``obj`` when it nests at most ``_MAX_DEPTH`` deep; deeper input would overflow
+    the recursive parsers that read it, such as `parse_lattice` on a nested ``sum``."""
     stack = [(obj, 1)]
     while stack:
         x, depth = stack.pop()
-        if isinstance(x, bool):
-            raise CliError(f"boolean {json.dumps(x)} in JSON input; only integers are accepted")
         if isinstance(x, (list, dict)):
             if depth > _MAX_DEPTH:
                 raise RecursionError
@@ -63,8 +57,10 @@ def _check_parsed(obj):
 
 
 def _load_json_arg(value: str):
-    """Inline JSON, or a path to a JSON file; every number in it must be an integer,
-    no value may be a boolean and nesting is at most ``_MAX_DEPTH`` deep."""
+    """Inline JSON, or a path to a JSON file, nested at most ``_MAX_DEPTH`` deep.  Its
+    types are checked where a command reads it, by `typed`: a float, ``NaN`` or
+    boolean where an integer belongs is refused by its path, and a key that no
+    command reads is not checked."""
     text = value
     if not value.lstrip().startswith(("{", "[", '"')):
         try:
@@ -73,8 +69,7 @@ def _load_json_arg(value: str):
         except OSError as exc:
             raise CliError(f"cannot read {value}: {exc}") from exc
     try:
-        obj = json.loads(text, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
-        return _check_parsed(obj)
+        return _check_depth(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
@@ -134,9 +129,8 @@ def _config_from_json(obj):
 
 def _cmd_lattice(args):
     if args.op == "snf":
-        M = _load_json_arg(_require(args, "matrix"))
         with _fields("matrix"):
-            M = lattice_core.copy_matrix(typed(M, [list], "matrix"))
+            M = typed(_load_json_arg(_require(args, "matrix")), [[int]], "matrix")
         D, P, Q = lattice_core.smith_normal_form(M)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         return 0, {"diagonal": diag, "D": D, "P": P, "Q": Q}, [f"diagonal: {diag}"]

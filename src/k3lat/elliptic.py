@@ -230,7 +230,10 @@ def parse_fibration(obj: dict) -> FibrationSpec:
                     for fid, label in typed(s.get("meets", {}), dict, f"{at}.meets").items()
                 },
                 dot_zero=typed(s.get("dot_zero", 0), int, f"{at}.dot_zero"),
-                dots=dict(typed(s.get("dots", {}), dict, f"{at}.dots")),
+                dots={
+                    other: typed(value, int, f"{at}.dots[{other!r}]")
+                    for other, value in typed(s.get("dots", {}), dict, f"{at}.dots").items()
+                },
             )
         )
     if typed(obj.get("chi", CHI), int, "chi") != CHI:
@@ -239,7 +242,7 @@ def parse_fibration(obj: dict) -> FibrationSpec:
         fibres=tuple(fibres),
         zero_section=typed(obj["zero_section"], str, "zero_section"),
         sections=tuple(sections),
-        name=obj.get("name"),
+        name=typed(obj["name"], str, "name") if "name" in obj else None,
     )
 
 

@@ -692,7 +692,7 @@ def parse_lattice(obj, path: str = "") -> GramLattice:
     if isinstance(obj, dict):
         name = typed(obj["name"], str, f"{field}name") if "name" in obj else None
         if "gram" in obj:
-            lat = GramLattice(typed(obj["gram"], [list], f"{field}gram"), name=name)
+            lat = GramLattice(typed(obj["gram"], [[int]], f"{field}gram"), name=name)
             if name is not None:
                 try:
                     expected = catalog_lattice(name)

@@ -246,16 +246,20 @@ def test_malformed_json_exit_2(capsys):
     "argv, named",
     [
         (["lattice", "snf", "--matrix", "[1,2]"], "bad matrix"),
-        (["lattice", "snf", "--matrix", "[[1.5,2]]"], "1.5"),
-        (["lattice", "snf", "--matrix", "[[Infinity]]"], "Infinity"),
+        (["lattice", "snf", "--matrix", "[[1.5,2]]"],
+         "bad matrix: matrix[0][0] must be an integer"),
+        (["lattice", "snf", "--matrix", "[[Infinity]]"],
+         "bad matrix: matrix[0][0] must be an integer"),
         (["lattice", "disc", "--lattice", '{"gram":5}'], "bad lattice"),
         (["lattice", "disc", "--lattice", '{"sum":5}'], "bad lattice"),
-        (["lattice", "disc", "--lattice", '{"gram":[[2.7]]}'], "2.7"),
+        (["lattice", "disc", "--lattice", '{"gram":[[2.7]]}'],
+         "bad lattice: gram[0][0] must be an integer"),
         (["groups", "build", "--presentation", '{"gens":["a"]}'], "missing field 'rels'"),
         (["groups", "build", "--presentation", '{"gens":5,"rels":[]}'], "bad presentation"),
         (["groups", "build", "--presentation", "[]"], "bad presentation"),
         (["config", "divisible", "--config", "[]"], "bad configuration"),
-        (["lattice", "snf", "--matrix", "[[true,2]]"], "boolean true"),
+        (["lattice", "snf", "--matrix", "[[true,2]]"],
+         "bad matrix: matrix[0][0] must be an integer"),
         (["lattice", "snf", "--matrix", "[" * 5000 + "]" * 5000], "nested"),
         (["lattice", "disc", "--lattice", '{"sum":[' * 495 + '"A2"' + "]}" * 495], "nested"),
         (["lattice", "snf", "--matrix", "[" * 101 + "]" * 101], "nested"),
@@ -294,9 +298,10 @@ def test_malformed_json_exit_2(capsys):
          "fibre A: expected 3 component labels"),
         (["fibration", "relation", "--spec", mp108_edited(set_dots({}, {})),
           "--relation", MP108_RELATION], "no recorded intersection number for sections P1, P2"),
-        # the intersection table refuses what a scan of the sections let through
+        # a dots value is typed by its path, as a meets value is
         (["fibration", "relation", "--spec", mp108_edited(set_dots({"P2": "x"}, {})),
-          "--relation", MP108_RELATION], "section P1: 'x' for P2 is not an integer"),
+          "--relation", MP108_RELATION],
+         "bad fibration: sections[0].dots['P2'] must be an integer"),
         (["fibration", "relation", "--spec", mp108_edited(set_dots({"P2": 1}, {"P1": 0})),
           "--relation", MP108_RELATION], "sections P2, P1: recorded as 1 and 0"),
         (["fibration", "validate", "--spec", mp108_edited(set_dots({"P2": 0, "P9": 0}, {}))],
@@ -381,9 +386,9 @@ def test_malformed_json_exit_2(capsys):
          "bad fibration: chi must be an integer"),
         # a numeric string is not an integer (it used to pass through int())
         (["lattice", "snf", "--matrix", '[["2",0],[0,3]]'],
-         "bad matrix: row 0, column 0: '2' is not an integer"),
+         "bad matrix: matrix[0][0] must be an integer"),
         (["lattice", "disc", "--lattice", '{"gram":[[2,"1"],[1,2]]}'],
-         "bad lattice: row 0, column 1: '1' is not an integer"),
+         "bad lattice: gram[0][1] must be an integer"),
         # every JSON field is read by one typed reader, which names the field's path
         (["config", "divisible", "--config", '{"ambient":"A2","p":"3","chains":[]}'],
          "bad configuration: p must be an integer"),
@@ -427,6 +432,16 @@ def test_malformed_json_exit_2(capsys):
          "bad lattice: sum[1].sum[0].name must be a string"),
         (["config", "divisible", "--config", '{"ambient":{"gram":5},"p":3,"chains":[]}'],
          "bad configuration: ambient.gram must be a list"),
+        # a Gram entry at any nesting, and a fibration's name, are named by their paths
+        (["fibration", "validate", "--spec", mp108_edited(lambda s: s.update(name=1.5))],
+         "bad fibration: name must be a string"),
+        (["lattice", "disc", "--lattice", '{"sum":["A1",{"gram":[[2,"1"],[1,2]]}]}'],
+         "bad lattice: sum[1].gram[0][1] must be an integer"),
+        (["config", "divisible", "--config",
+          '{"ambient":{"gram":[[-2.0,1],[1,-2]]},"p":3,"chains":[]}'],
+         "bad configuration: ambient.gram[0][0] must be an integer"),
+        (["fibration", "validate", "--spec", mp108_edited(set_dots({"P2": True}, {}))],
+         "bad fibration: sections[0].dots['P2'] must be an integer"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):
@@ -516,8 +531,8 @@ _SEEDS = {
     "basis": [[1, 0, 1, 0], [0, 2, 0, 0]],
     "config": {"ambient": {"gram": [[-2, 0], [0, -2]]}, "p": 2, "chains": [[[1, 0]], [[0, 1]]],
                "kw_mod2": [1, 0]},
-    "spec": json.loads((data_dir() / "mp9.json").read_text()),
-    "relation": json.loads((data_dir() / "mp9_relation.json").read_text()),
+    "spec": json.loads(Path(MP108).read_text()),
+    "relation": json.loads(Path(MP108_RELATION).read_text()),
     "presentation": {"gens": ["a", "b"], "rels": ["a3", "b2", "abab"]},
 }
 _COMMANDS = [
@@ -584,7 +599,7 @@ def test_fuzzed_json_options_exit_0_1_or_2(data):
 
 
 # ---------------------------------------------------------------------------
-# every integer a command reads refuses its decimal string, by the leaf's path
+# every integer a command reads refuses a string, float, boolean or NaN, by the leaf's path
 
 def _seeded_argv(command, option=None, text=None):
     """``command`` with each JSON option given its seed document, except ``option``,
@@ -607,14 +622,17 @@ def _int_leaves(value, path=()):
         yield path, value
 
 
-def _refusal(option, path, value):
-    """The refusal that names the integer leaf at ``path`` given as the string ``value``:
-    a matrix entry by its row and column, any other leaf by its path."""
-    if option == "matrix" or "gram" in path:
-        return "row {}, column {}: {!r} is not an integer".format(*path[-2:], value)
-    text = option if option == "basis" else ""  # the one list document read at the top
-    for key in path:
-        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+def _refusal(option, path):
+    """The refusal that names the integer leaf at ``path`` by its path, such as
+    ``matrix[0][1]``, ``sum[1].gram[0][1]`` or ``sections[0].dots['P2']``."""
+    text = option if option in ("matrix", "basis") else ""  # the list documents
+    for parent, key in zip((None, *path), path):
+        if isinstance(key, int):
+            text += f"[{key}]"
+        elif parent in ("lhs", "rhs", "dots"):  # a symbol, not a field
+            text += f"[{key!r}]"
+        else:
+            text += f".{key}" if text else key
     return f"{text} must be an integer"
 
 
@@ -627,27 +645,44 @@ def _with_leaf(value, path, leaf):
     return out
 
 
-def _unread(option, path):
-    """Integer leaves a command does not read as integers: divisor coefficients, which
-    may be rational strings, and the ignored ``kw_mod2`` and ``mw_order``."""
-    return ("kw_mod2" in path or "mw_order" in path
-            or option == "relation" and path[0] in ("lhs", "rhs"))
+# the key of each seed that no command reads
+_UNREAD = {"config": "kw_mod2", "spec": "mw_order", "relation": "fibration"}
+
+
+def _stand_ins(option, path, leaf):
+    """What replaces an integer leaf: its decimal string, except for a divisor
+    coefficient, which may be a rational string, and values that are not integers."""
+    coefficient = option == "relation" and path[0] in ("lhs", "rhs")
+    return ([] if coefficient else [str(leaf)]) + [1.5, 2.0, True, float("nan")]
 
 
 @pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
 def test_numeric_string_for_an_integer_is_refused_by_its_path(capsys, command):
     """The seeds run; each seed with one integer leaf that the command reads replaced
-    by its decimal string exits 2 and names the leaf."""
+    by its decimal string, a float, ``true`` or ``NaN`` exits 2 and names the leaf."""
     assert run_capture(capsys, _seeded_argv(command))[0] == 0
     checked = 0
     for option in (token[2:] for token in command if token[2:] in _SEEDS):
         for path, leaf in _int_leaves(_SEEDS[option]):
-            if _unread(option, path):
+            if _UNREAD.get(option) in path:
                 continue
-            value = str(leaf)
-            text = json.dumps(_with_leaf(_SEEDS[option], path, value))
-            code, out, err = run_capture(capsys, _seeded_argv(command, option, text))
-            assert code == 2 and out == "", (option, path)
-            assert _refusal(option, path, value) in err and "Traceback" not in err, (path, err)
-            checked += 1
+            for value in _stand_ins(option, path, leaf):
+                text = json.dumps(_with_leaf(_SEEDS[option], path, value))
+                code, out, err = run_capture(capsys, _seeded_argv(command, option, text))
+                assert code == 2 and out == "", (option, path, value)
+                assert _refusal(option, path) in err and "Traceback" not in err, (path, err)
+                checked += 1
     assert checked or command[0] == "groups"  # a presentation holds no integer
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in _COMMANDS if any(t[2:] in _UNREAD for t in c)], ids=" ".join
+)
+def test_unread_keys_are_not_checked(capsys, command):
+    """A key that no command reads is not type-checked: set to a float, ``true`` or
+    ``NaN``, it leaves the seed's output and exit code as they are."""
+    seeded = run_capture(capsys, _seeded_argv(command))[:2]
+    for option in (token[2:] for token in command if token[2:] in _UNREAD):
+        for value in (1.5, True, float("nan")):
+            text = json.dumps({**_SEEDS[option], _UNREAD[option]: value})
+            assert run_capture(capsys, _seeded_argv(command, option, text))[:2] == seeded, value

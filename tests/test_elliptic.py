@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 
 from k3lat.data import load_json
 from k3lat.elliptic import (
+    FibrationSpec,
     KodairaFibre,
     divisor_vector,
     fibre_relation,
@@ -179,6 +181,17 @@ def test_parse_rejects_non_simple_incidence():
     }
     with pytest.raises(ValueError):
         parse_fibration(iv)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 1.5, "0", None], ids=repr)
+def test_fibration_spec_refuses_a_dot_that_is_not_an_int(value):
+    """`parse_fibration` refuses such a value by its path first; a spec built in
+    Python meets the spec's own check, which names the section."""
+    spec = spec_of("mp108")
+    p1, p2 = spec.sections
+    message = f"^section P1: {re.escape(repr(value))} for P2 is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        FibrationSpec(spec.fibres, spec.zero_section, (replace(p1, dots={"P2": value}), p2))
 
 
 # ---------------------------------------------------------------------------
