@@ -3,7 +3,8 @@
 Every operation is exposed as a subcommand with dual output: human-readable
 text by default, the full JSON payload with ``--json``.  Exit codes: 0 for
 success (and for verification commands, a true/consistent outcome), 1 for a
-false verification, 2 for invalid input.
+false verification, 2 for invalid input.  `run` alone turns a refusal into exit 2
+and prints its text; `_fields` puts the name of the field at fault in that text.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import acceptance, classifier, elliptic, finite_geometry, lattice_core, root_config
 from .groups import (
@@ -76,29 +76,15 @@ def _load_json_arg(value: str):
         raise CliError(f"JSON input is nested more than {_MAX_DEPTH} levels deep") from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj) if obj.denominator != 1 else int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+def _fraction(x):
+    """`json.dumps`'s hook for a Fraction: an int when integral, else "p/q"."""
+    return int(x) if x.denominator == 1 else str(x)
 
 
 def _group_arg(name: str):
     """Catalog group names, including C-style spellings like C2^4 or C10."""
-    m = re.fullmatch(r"C(\d+)\^(\d+)", name)
-    if m:
-        name = f"(Z/{m.group(1)})^{m.group(2)}"
-    else:
-        m = re.fullmatch(r"C(\d+)", name)
-        if m:
-            name = f"Z/{m.group(1)}"
-    try:
-        return catalog_group(name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    name = re.sub(r"\AC(\d+)\^(\d+)\Z", r"(Z/\1)^\2", name)
+    return catalog_group(re.sub(r"\AC(\d+)\Z", r"Z/\1", name))
 
 
 @contextmanager
@@ -131,7 +117,7 @@ def _cmd_lattice(args):
     if args.op == "snf":
         with _fields("matrix"):
             M = typed(_load_json_arg(_require(args, "matrix")), [[int]], "matrix")
-        D, P, Q = lattice_core.smith_normal_form(M)
+            D, P, Q = lattice_core.smith_normal_form(M)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         return 0, {"diagonal": diag, "D": D, "P": P, "Q": Q}, [f"diagonal: {diag}"]
     obj = _load_json_arg(_require(args, "lattice"))
@@ -248,14 +234,11 @@ def _cmd_groups(args):
         elif args.bound > MAX_COSET_BOUND:
             raise CliError(f"--bound {args.bound} is above {MAX_COSET_BOUND} cosets")
         else:
-            try:
-                with _fields("presentation"):
-                    obj = typed(_load_json_arg(args.presentation), dict, "the top level")
-                    pres = GroupPresentation(tuple(typed(obj["gens"], [str], "gens")),
-                                             tuple(typed(obj["rels"], [str], "rels")))
-                    table = group_from_presentation(pres, bound=args.bound)
-            except EnumerationBound as exc:
-                raise CliError(str(exc)) from exc
+            with _fields("presentation"):
+                obj = typed(_load_json_arg(args.presentation), dict, "the top level")
+                pres = GroupPresentation(tuple(typed(obj["gens"], [str], "gens")),
+                                         tuple(typed(obj["rels"], [str], "rels")))
+                table = group_from_presentation(pres, bound=args.bound)
         payload = {
             "order": table.order,
             "abelian": table.is_abelian(),
@@ -293,15 +276,12 @@ def _row_payload(row: classifier.TableRow):
 
 
 def _cmd_classify(args):
-    try:
-        if args.surface == "k3":
-            row = classifier.k3_classify(classifier.K3Input(args.p, args.c, args.facts))
-        else:
-            row = classifier.enriques_classify(
-                classifier.EnriquesInput(args.p, args.c, w=args.w, cover=args.cover)
-            )
-    except classifier.FactsError as exc:
-        raise CliError(str(exc)) from exc
+    if args.surface == "k3":
+        row = classifier.k3_classify(classifier.K3Input(args.p, args.c, args.facts))
+    else:
+        row = classifier.enriques_classify(
+            classifier.EnriquesInput(args.p, args.c, w=args.w, cover=args.cover)
+        )
     lines = [
         f"table {row.table}, row {row.number}",
         f"pi1 = {row.pi1.display()} (order {row.pi1.order()})",
@@ -436,11 +416,11 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload, lines = args.func(args)
-    except (CliError, ValueError, root_config.SearchSpaceError) as exc:
+    except (CliError, ValueError, root_config.SearchSpaceError, EnumerationBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(_jsonable(payload), indent=1))
+        print(json.dumps(payload, indent=1, default=_fraction))
     else:
         for line in lines:
             print(line)

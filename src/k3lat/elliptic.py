@@ -24,7 +24,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .lattice_core import (
-    GramLattice, identity_matrix, mat_mul, solve_left, span_coordinates, transpose, typed,
+    GramLattice, checked_int, identity_matrix, mat_mul, solve_left, span_coordinates, transpose,
+    typed,
 )
 
 FIBRE_SYMBOL = "F"
@@ -60,6 +61,7 @@ class KodairaFibre:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "n", checked_int(self.n, ("fibre", self.fibre_id), ("n",)))
         if self.kind != "In" and self.kind not in _ADDITIVE:
             raise ValueError(f"fibre {self.fibre_id}: unknown fibre kind {self.kind!r}")
         if self.kind == "In" and self.n < 1:

@@ -20,8 +20,8 @@ one matrix keeps no work across unrelated calls.  The memo key is the
 matrix as given, as ``tuple(map(tuple, M))``, so building and hashing it
 run in C; equal entries of another type (True for 1, 2.0 for 2) hit the
 same entry.  The reduction copies its input, and the copy (`copy_matrix`)
-checks it: a float or Fraction that is not an integer is refused with a
-ValueError naming its row and column, where int() would truncate it.
+checks it: an entry that int() would change, such as 2.5 or "2", is refused
+with a ValueError naming its row and column.
 Matrices are lists of lists of ints; the public domain types freeze their
 data into tuples and are safe to share between threads.
 """
@@ -47,14 +47,17 @@ class DegenerateLatticeError(ValueError):
 
 
 def checked_int(x, *where: tuple) -> int:
-    """int(x); a float or Fraction must be integral, since int() would truncate
-    it, and a str, bytes or bytearray is refused, since int() would parse it.
-    A bool passes as an int.  ``where`` names the entry in the error, as
+    """int(x) when that equals x: a bool, 2.0 or Fraction(4, 2) passes, while a
+    2.5 (which int() would truncate), a "2" (which it would parse), NaN or None
+    is refused with a ValueError.  ``where`` names the entry in the error, as
     (label, index) pairs or a (label,) alone."""
-    if isinstance(x, (str, bytes, bytearray)) or isinstance(x, (float, Fraction)) and x % 1:
-        place = ", ".join(" ".join(map(str, w)) for w in where)
-        raise ValueError(f"{place}: {x!r} is not an integer")
-    return int(x)
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    place = ", ".join(" ".join(map(str, w)) for w in where)
+    raise ValueError(f"{place}: {x!r} is not an integer")
 
 
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -104,8 +107,17 @@ def block_diagonal(grams: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
     return out
 
 
+def _shape(M: Sequence[Sequence]) -> str:
+    """M's shape as "m x n", with the sorted row lengths for n when they differ."""
+    lengths = sorted({len(row) for row in M})
+    return f"{len(M)} x {lengths[0] if len(lengths) == 1 else lengths or 0}"
+
+
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list[list]:
+    """A B; each row of A has one entry per row of B, and B's rows one length."""
     Bt = list(zip(*B))
+    if any(len(row) != len(B) for row in A) or any(len(row) != len(Bt) for row in B):
+        raise ValueError(f"cannot multiply a {_shape(A)} matrix by a {_shape(B)} one")
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
@@ -113,6 +125,8 @@ def bareiss_det(M: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant of a square integer matrix."""
     A = copy_matrix(M)
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError(f"determinant of a non-square {_shape(A)} matrix")
     if n == 0:
         return 1
     sign = 1
@@ -495,11 +509,9 @@ class GramLattice:
         object.__setattr__(self, "gram", tuple(map(tuple, copy_matrix(self.gram))))
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
-            raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+            raise ValueError(f"Gram matrix must be square, not {_shape(self.gram)}")
+        if self.gram != tuple(zip(*self.gram)):
+            raise ValueError("Gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -692,7 +704,11 @@ def parse_lattice(obj, path: str = "") -> GramLattice:
     if isinstance(obj, dict):
         name = typed(obj["name"], str, f"{field}name") if "name" in obj else None
         if "gram" in obj:
-            lat = GramLattice(typed(obj["gram"], [[int]], f"{field}gram"), name=name)
+            gram = typed(obj["gram"], [[int]], f"{field}gram")
+            try:
+                lat = GramLattice(gram, name=name)
+            except ValueError as exc:  # a shape error, which GramLattice cannot name
+                raise ValueError(f"{field}gram: {exc}") from exc
             if name is not None:
                 try:
                     expected = catalog_lattice(name)

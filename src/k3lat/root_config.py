@@ -48,8 +48,8 @@ class ChainConfiguration:
     trailing t coordinates are torsion bits; the Gram pairing only sees the
     first ``ambient.rank`` entries.  Entries are stored as ints: one type
     scan, in C, passes int entries as they are, and any other entry goes
-    through ``checked_int``, so a float or Fraction that is not an integer is
-    refused with a ValueError naming its chain, class and coordinate.
+    through ``checked_int``, so an entry that int() would change, such as 2.5,
+    is refused with a ValueError naming its chain, class and coordinate.
     """
 
     ambient: GramLattice

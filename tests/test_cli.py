@@ -154,6 +154,16 @@ def test_fibration_height(capsys):
     assert json.loads(out)["height"] == 0
 
 
+def test_a_non_integral_fraction_prints_as_p_over_q(capsys):
+    """P1 moved to component G1 of the I2 fibre G takes its local correction 1/2,
+    so its height falls from 0 to -1/2."""
+    spec = mp108_edited(lambda s: s["sections"][0]["meets"].update(G="G1"))
+    code, out, _ = run_capture(capsys, ["--json", "fibration", "height", "--spec", spec,
+                                        "--section", "P1"])
+    assert code == 0
+    assert out == '{\n "section": "P1",\n "height": "-1/2"\n}\n'
+
+
 def test_fibration_relation_false_exits_1(capsys):
     base = data_dir()
     rel = json.loads((base / "mp108_relation.json").read_text())
@@ -356,7 +366,7 @@ def test_malformed_json_exit_2(capsys):
         (["lattice", "disc", "--lattice", '"D3"'], "bad lattice: D_n needs n >= 4"),
         (["lattice", "disc", "--lattice", '"E5"'], "bad lattice: E_n needs n in {6, 7, 8}"),
         (["lattice", "disc", "--lattice", '{"gram":[[2,1],[0,2]]}'],
-         "bad lattice: Gram matrix must be symmetric"),
+         "bad lattice: gram: Gram matrix must be symmetric"),
         (["config", "divisible", "--config", '{"ambient":"A2","p":2,"chains":[[[1]],[[0]]]}'],
          "bad configuration: chain vectors shorter than the ambient rank"),
         (["config", "divisible", "--config",
@@ -442,6 +452,23 @@ def test_malformed_json_exit_2(capsys):
          "bad configuration: ambient.gram[0][0] must be an integer"),
         (["fibration", "validate", "--spec", mp108_edited(set_dots({"P2": True}, {}))],
          "bad fibration: sections[0].dots['P2'] must be an integer"),
+        # a matrix of the wrong shape is named by its field, at any nesting
+        (["lattice", "snf", "--matrix", "[[1,2],[3]]"], "bad matrix: ragged matrix"),
+        (["lattice", "snf", "--matrix", "[]"],
+         "bad matrix: matrix must have at least one row and one column"),
+        (["lattice", "snf", "--matrix", "[[]]"],
+         "bad matrix: matrix must have at least one row and one column"),
+        (["lattice", "disc", "--lattice", '{"sum":["A1",{"gram":[[2,1]]}]}'],
+         "bad lattice: sum[1].gram: Gram matrix must be square, not 1 x 2"),
+        (["lattice", "disc", "--lattice", '{"sum":["A1",{"gram":[[2,1],[0,2]]}]}'],
+         "bad lattice: sum[1].gram: Gram matrix must be symmetric"),
+        (["config", "divisible", "--config", '{"ambient":{"gram":[[-2],[1]]},"p":3,"chains":[]}'],
+         "bad configuration: ambient.gram: Gram matrix must be square, not 2 x 1"),
+        # library refusals that reach `run` as they are raised
+        (["groups", "normal-count", "--group", "Q9", "--index", "2"],
+         "error: unknown catalog group 'Q9'"),
+        (["classify", "k3", "--p", "2", "--c", "16", "--facts", "primitive"],
+         "error: 0 table rows [] match p = 2, c = 16, facts = primitive"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -57,6 +57,14 @@ def test_local_contribution_additive():
     assert local_contribution(ii, 0, 0) == 0
 
 
+@pytest.mark.parametrize("n", [1.5, "2", None])
+def test_kodaira_fibre_refuses_an_n_that_is_not_an_integer(n):
+    """A float n used to raise TypeError from tuple repetition; it is now refused by name."""
+    with pytest.raises(ValueError, match=r"^fibre f, n: .* is not an integer$"):
+        KodairaFibre("f", "In", ("a",), n=n)
+    assert KodairaFibre("f", "In", ("a", "b"), n=2.0).n == 2
+
+
 def test_local_contribution_rejects_non_simple():
     iv = KodairaFibre("V", "IV*", tuple(f"V{i}" for i in range(7)))
     with pytest.raises(ValueError):

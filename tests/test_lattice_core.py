@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, prod
@@ -337,6 +338,22 @@ def test_bareiss_det_matches_leibniz_oracle():
     assert dets == [leibniz_det(M) for M in cases]
     assert {d == 0 for d in dets} == {True, False}
     assert bareiss_det([]) == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: bareiss_det([[1, 2]]), "determinant of a non-square 1 x 2 matrix"),
+    (lambda: bareiss_det([[1, 2], [3, 4], [5, 6]]), "determinant of a non-square 3 x 2 matrix"),
+    (lambda: bareiss_det([[1, 2], [3]]), r"determinant of a non-square 2 x \[1, 2\] matrix"),
+    (lambda: mat_mul([[1, 2]], [[1], [2], [3]]), "cannot multiply a 1 x 2 matrix by a 3 x 1 one"),
+    (lambda: mat_mul([[1, 2]], [[1], [2, 3]]),
+     r"cannot multiply a 1 x 2 matrix by a 2 x \[1, 2\] one"),
+    (lambda: mat_mul([[1]], []), "cannot multiply a 1 x 1 matrix by a 0 x 0 one"),
+], ids=["det_1x2", "det_3x2", "det_ragged", "mul_inner", "mul_ragged", "mul_empty"])
+def test_malformed_shape_is_refused_not_answered(call, message):
+    """Each of these answered wrongly (1, or [[5]] from a truncating zip) or raised
+    IndexError; the ValueError names the shapes."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_left_kernel_mod_p_matches_brute_force():
@@ -756,9 +773,28 @@ def test_checked_int_refuses_strings_and_bytes(value):
         checked_int(value, ("row", 1), ("column", 2))
 
 
+@pytest.mark.parametrize("value", [Decimal("2.5"), None, float("nan"), float("inf"),
+                                   Decimal("NaN"), Decimal("-Infinity"), 1j, [2]],
+                         ids=["decimal", "none", "nan", "inf", "decimal_nan", "decimal_inf",
+                              "complex", "list"])
+def test_checked_int_refuses_what_int_would_change_or_cannot_read(value):
+    """int() truncates Decimal("2.5") to 2, and raises TypeError on None and
+    ValueError or OverflowError on NaN and inf; each is one named ValueError."""
+    with pytest.raises(ValueError, match=r"^p: .* is not an integer$"):
+        checked_int(value, ("p",))
+
+
+def test_a_non_integral_decimal_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=r"^row 0, column 0: Decimal\('-2\.5'\) is not an integer$"):
+        GramLattice(((Decimal("-2.5"),),))
+    with pytest.raises(ValueError, match=r"^row 0, column 0: Decimal\('2\.9'\) is not an integer$"):
+        smith_normal_form([[Decimal("2.9"), 0], [0, 3]])
+
+
 def test_checked_int_passes_ints_bools_and_integral_numbers():
-    values = [checked_int(x, ("p",)) for x in (3, True, False, 3.0, Fraction(6, 2))]
-    assert values == [3, 1, 0, 3, 3] and all(type(v) is int for v in values)
+    values = [checked_int(x, ("p",))
+              for x in (3, True, False, 3.0, Fraction(6, 2), Decimal("3"), Decimal("-2.000"))]
+    assert values == [3, 1, 0, 3, 3, 3, -2] and all(type(v) is int for v in values)
 
 
 def test_integral_floats_and_fractions_pass_as_ints():

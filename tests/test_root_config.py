@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -26,6 +27,8 @@ from k3lat.lattice_core import (
     primitive_closure,
 )
 from k3lat import root_config
+from k3lat.data import load_json
+from k3lat.pipeline import k3_row
 from k3lat.root_config import (
     ChainConfiguration,
     SearchSpaceError,
@@ -622,6 +625,36 @@ def test_witness_lists_on_large_kernels():
         count += 1
     assert count == 511 + 697
     assert digest.hexdigest() == LARGE_KERNEL_DIGEST
+
+
+def test_every_ag23_subset_gets_the_table_row_of_its_code_words():
+    """All 511 point subsets of the 9-point model, through `restrict` and
+    `k3_row`, against Table 1 read with facts from the affine-code words inside
+    each subset: none is primitivity, and where Table 1 splits c by word count,
+    one 6-point word is one_R and two that cover the subset are two_R."""
+    _, cfg = ag23_lattice()
+    supports = {frozenset(i for i, v in enumerate(word) if v) for word in affine_code_words(3, 2)}
+    table = load_json("table1.json")["rows"]
+    rows = Counter()
+    for size in range(1, 10):
+        for members in combinations(range(9), size):
+            inside = [s for s in supports if s <= set(members)]
+            candidates = [r for r in table if r["p"] == 3 and r["c_min"] <= size <= r["c_max"]]
+            six = [s for s in inside if len(s) == 6]
+            if not inside:
+                facts = "primitive"
+            elif not any(r["condition"] == "two_R" for r in candidates):
+                facts = "nonprimitive"
+            elif len(six) == 1:
+                facts = "one_R"
+            else:
+                assert any(a | b == set(members) for a, b in combinations(six, 2)), members
+                facts = "two_R"
+            (expected,) = [r["no"] for r in candidates if r["condition"] == facts]
+            _, got_facts, row = k3_row(cfg.restrict(members))
+            assert (got_facts, row.number) == (facts, expected), members
+            rows[row.number] += 1
+    assert rows == {9: 453, 10: 48, 12: 9, 13: 1}
 
 
 def test_dot_matches_brute_force_oracle():
