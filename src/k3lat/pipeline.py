@@ -1,28 +1,25 @@
 """From a model to a table row: the divisibility witnesses of a chain
-configuration or of the 12-curve Enriques model give the facts that pick the
-row of Table 1 or Table 2.  A witness structure the tables do not describe
-raises ``FactsError``, naming the counts found."""
+configuration give the facts that pick the row of Table 1, or of Table 2 for
+Enriques curves at p = 2 with a torsion bit.  A witness structure the tables
+do not describe raises ``FactsError``, naming the counts found."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Optional, Sequence
 
 from .classifier import (
     EnriquesInput, FactsError, K3Input, TableRow, enriques_classify, k3_classify, table_lookup,
 )
 from .elliptic import FibrationSpec, class_lattice
-from .root_config import (
-    ChainConfiguration,
-    DivisibleSubsetWitness,
-    enriques_mod2_divisibility,
-    find_p_divisible_subsets,
-)
+from .root_config import ChainConfiguration, DivisibleSubsetWitness, find_p_divisible_subsets
 
 
-def _k3_word(p: int, c: int):
+def _k3_word(p: int, c: Optional[int]):
     """(word size, letter) of Table 1's one_* row at (p, c), read off its tower and
-    its condition's suffix; None where Table 1 has no such row."""
+    its condition's suffix; None where Table 1 has no such row.  c = None takes the
+    first such row at p."""
     return next(((r["tower"][0], r["condition"][4:]) for r in table_lookup(1, p=p, c=c)
                  if r["condition"].startswith("one_")), None)
 
@@ -61,45 +58,45 @@ def fibration_configuration(
     return ChainConfiguration(lattice, p, chains)
 
 
-def enriques_facts(
-    curves: Mapping[str, Sequence[int]], kw: Sequence[int], labels: Sequence[str]
-) -> tuple[str, str]:
+def enriques_facts(cfg: ChainConfiguration) -> tuple[str, str]:
     """The quotient-side and cover-side facts (w, cover) of disjoint curves.
 
-    A 4-set of curves is strict when its sum is 2-divisible and canonical
-    when the sum is the canonical class ``kw`` mod 2.  Up to five curves only
-    primitivity counts; six or seven need one strict 4-set, or three.
+    The curves are one-class chains at p = 2 whose vectors end in one torsion
+    bit, the canonical class K_W mod 2.  A sum is 2-divisible on the quotient
+    when the search counts that bit, and on the cover when it sees the free
+    coordinates alone: K_W is the only torsion class and dies on the cover.
+    Where Table 2 names no word for w at c, only primitivity counts; else the
+    words are 4-sets, half of Table 1's 8-point word upstairs, and six or
+    seven curves need one strict 4-set, or three.
     """
-    vectors = {label: curves[label] for label in labels}  # a KeyError names an unknown label
-    c = len(labels)
-    if c > 7:
-        raise FactsError(f"{c} curves; the 12-curve model gives facts for at most 7")
-    strict, canonical = [], []
-    for sub in combinations(labels, 4):
-        verdict = enriques_mod2_divisibility([vectors[label] for label in sub], kw)
-        if verdict != "not_divisible":
-            (strict if verdict == "divisible_as_0" else canonical).append(set(sub))
-    if c <= 5:
-        return ("nonprimitive" if strict else "primitive",
-                "nonprimitive" if strict or canonical else "primitive")
+    r = cfg.ambient.rank
+    if cfg.p != 2 or cfg.vector_length != r + 1:
+        raise ValueError("Enriques curves are a p = 2 configuration with one torsion bit")
+    c = cfg.count
+    quotient = find_p_divisible_subsets(cfg)
+    cut = replace(cfg, chains=tuple(tuple(v[:r] for v in chain) for chain in cfg.chains))
+    cover = find_p_divisible_subsets(cut)
+    if {row["w"] for row in table_lookup(2, p=2, c=c)} <= {"primitive", "nonprimitive"}:
+        return ("nonprimitive" if quotient else "primitive",
+                "nonprimitive" if cover else "primitive")
+    size = _k3_word(2, None)[0] // 2
+    strict = [set(w.subset) for w in quotient if len(w.subset) == size]
     if len(strict) not in (1, 3):
-        raise FactsError(f"{len(strict)} strict 4-sets among {c} curves; expected 1 or 3")
+        raise FactsError(f"{len(strict)} strict {size}-sets among {c} curves; expected 1 or 3")
     if len(strict) == 1:
         w = "one_K"
     elif c == 6:
-        if not any(a | b == set(labels) for a, b in combinations(strict, 2)):
-            raise FactsError("no two of the 3 strict 4-sets cover the 6 curves")
+        if not any(a | b == set(range(c)) for a, b in combinations(strict, 2)):
+            raise FactsError(f"no two of the 3 strict {size}-sets cover the 6 curves")
         w = "two_K"
     else:
-        w = "three_K" if set().union(*strict) == set(labels) else "two_K_plus_A1"
+        w = "three_K" if set().union(*strict) == set(range(c)) else "two_K_plus_A1"
     if c == 7:
         return w, "three_H"
-    return w, "one_H" if len(strict) + len(canonical) == 1 else "two_H"
+    return w, "one_H" if sum(len(v.subset) == size for v in cover) == 1 else "two_H"
 
 
-def enriques_row(
-    curves: Mapping[str, Sequence[int]], kw: Sequence[int], labels: Sequence[str]
-) -> tuple[str, str, TableRow]:
-    """The facts (w, cover) of disjoint curves of the 12-curve model and the Table 2 row."""
-    w, cover = enriques_facts(curves, kw, labels)
-    return w, cover, enriques_classify(EnriquesInput(2, len(labels), w=w, cover=cover))
+def enriques_row(cfg: ChainConfiguration) -> tuple[str, str, TableRow]:
+    """The facts (w, cover) of disjoint Enriques curves and the Table 2 row."""
+    w, cover = enriques_facts(cfg)
+    return w, cover, enriques_classify(EnriquesInput(2, cfg.count, w=w, cover=cover))

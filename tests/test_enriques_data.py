@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from k3lat.data import load_json
-from k3lat.lattice_core import GramLattice, parse_lattice
+from k3lat.lattice_core import GramLattice, catalog_lattice, parse_lattice
+from k3lat.pipeline import enriques_facts
 from k3lat.root_config import (
     ChainConfiguration,
     enriques_mod2_divisibility,
@@ -97,6 +98,21 @@ def test_w12_lattice_shape(w12):
 
 def curve_set(w12, labels):
     return [w12["curves"][f"F{i}"] for i in labels]
+
+
+def test_w12_canonical_class_is_the_torsion_bit(w12):
+    """The pipeline reads K_W mod 2 as the torsion bit alone, not from ``kw``."""
+    assert w12["kw"] == [0] * 10 + [1]
+
+
+def test_enriques_facts_refuses_a_configuration_that_is_not_p2_with_one_torsion_bit(w12):
+    a2_with_bit = ChainConfiguration(catalog_lattice("A2"), 3, (((1, 0, 0), (0, 1, 0)),))
+    with pytest.raises(ValueError, match="p = 2 configuration with one torsion bit"):
+        enriques_facts(a2_with_bit)
+    lat = GramLattice(tuple(map(tuple, w12["gram"])))
+    free = ChainConfiguration(lat, 2, tuple((tuple(w12["curves"][f"F{i}"][:10]),) for i in (2, 4)))
+    with pytest.raises(ValueError, match="p = 2 configuration with one torsion bit"):
+        enriques_facts(free)
 
 
 def test_w12_recorded_congruences(w12):

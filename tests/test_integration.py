@@ -7,6 +7,11 @@ generator span is the full rank-20 class lattice whenever all torsion
 sections are listed (the determinants below are the extremal values).
 """
 
+import hashlib
+import json
+import re
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -23,8 +28,13 @@ from k3lat.finite_geometry import (
     kummer_lattice,
     line_complements,
 )
-from k3lat.lattice_core import bareiss_det
+from k3lat.lattice_core import GramLattice, bareiss_det
 from k3lat.pipeline import enriques_row, fibration_configuration, k3_row
+from k3lat.root_config import (
+    ChainConfiguration,
+    enriques_mod2_divisibility,
+    find_p_divisible_subsets,
+)
 
 
 # (prime, determinant, chains, expected witnesses) per bundled fibration;
@@ -161,8 +171,22 @@ def test_two_words_that_do_not_cover_are_a_facts_error():
         k3_row(cfg)
 
 
-def test_twelve_curve_model_drives_the_quotient_rows():
-    w12 = load_json("enriques_w12.json")
+@pytest.fixture(scope="module")
+def w12():
+    return load_json("enriques_w12.json")
+
+
+def w12_lattice(w12):
+    return GramLattice(tuple(map(tuple, w12["gram"])))
+
+
+def w12_curves(w12, labels):
+    """The curves ``labels`` of the 12-curve model as one-class chains at p = 2,
+    each vector its ten free coordinates and its torsion bit."""
+    return ChainConfiguration(w12_lattice(w12), 2, tuple((tuple(w12["curves"][x]),) for x in labels))
+
+
+def test_twelve_curve_model_drives_the_quotient_rows(w12):
     cases = [
         ((2, 4, 6, 9), 2, "Z/2"),
         ((2, 4, 9, 11), 3, "(Z/2)^2"),
@@ -174,9 +198,76 @@ def test_twelve_curve_model_drives_the_quotient_rows():
         ((4, 6, 8, 9, 10, 11, 12), 13, "Z/4x(Z/2)^2"),
     ]
     for labels, row_no, group in cases:
-        w, cover, row = enriques_row(w12["curves"], w12["kw"], [f"F{i}" for i in labels])
+        w, cover, row = enriques_row(w12_curves(w12, [f"F{i}" for i in labels]))
         assert row.number == row_no, (labels, w, cover, row.number)
         assert row.pi1.name == group
+
+
+@pytest.fixture(scope="module")
+def w12_sweep(w12):
+    """Every nonempty label set of the 12-curve model, in order, with its
+    configuration or the ValueError that refused it."""
+    out = []
+    for c in range(1, 13):
+        for labels in combinations(sorted(w12["curves"], key=lambda x: int(x[1:])), c):
+            try:
+                out.append((labels, w12_curves(w12, labels)))
+            except ValueError as exc:
+                out.append((labels, exc))
+    return out
+
+
+def test_twelve_curve_sets_are_refused_exactly_when_two_curves_meet(w12, w12_sweep):
+    lat = w12_lattice(w12)
+
+    def meets(a, b):
+        return lat.dot(w12["curves"][a][:10], w12["curves"][b][:10]) != 0
+
+    assert len(w12_sweep) == 4095
+    for labels, got in w12_sweep:
+        if isinstance(got, ValueError):
+            i, j = map(int, re.match(r"chains (\d+) and (\d+) are not orthogonal", str(got)).groups())
+            assert meets(labels[i], labels[j]), (labels, got)
+        else:
+            assert not any(meets(a, b) for a, b in combinations(labels, 2)), labels
+    assert sum(isinstance(got, ValueError) for _, got in w12_sweep) == 3753
+
+
+def test_twelve_curve_witnesses_match_the_mod2_oracle(w12, w12_sweep):
+    """With its torsion bit a 4-set is a witness exactly when its sum is 0 mod 2;
+    cut to the free coordinates, exactly when the sum is 0 or K_W mod 2."""
+    accepted = [(labels, cfg) for labels, cfg in w12_sweep if not isinstance(cfg, ValueError)]
+    assert len(accepted) == 342
+    for labels, cfg in accepted:
+        verdicts = {sub: enriques_mod2_divisibility([w12["curves"][labels[i]] for i in sub], w12["kw"])
+                    for sub in combinations(range(len(labels)), 4)}
+        cut = replace(cfg, chains=tuple(tuple(v[:10] for v in ch) for ch in cfg.chains))
+        for config, admitted in ((cfg, {"divisible_as_0"}),
+                                 (cut, {"divisible_as_0", "divisible_as_KW"})):
+            got = {w.subset for w in find_p_divisible_subsets(config) if len(w.subset) == 4}
+            assert got == {sub for sub, v in verdicts.items() if v in admitted}, labels
+
+
+def test_twelve_curve_rows_of_every_disjoint_set(w12_sweep):
+    """The rows of all 342 disjoint sets; up to seven curves the (w, cover, row)
+    list is pinned by its SHA-256, and the one disjoint 8-set, whose sum is
+    2-divisible, is Table 2's row 15."""
+    histogram, pinned = Counter(), []
+    for labels, cfg in w12_sweep:
+        if isinstance(cfg, ValueError):
+            continue
+        w, cover, row = enriques_row(cfg)
+        histogram[row.number] += 1
+        if len(labels) <= 7:
+            pinned.append((labels, w, cover, row.number))
+        else:
+            assert (labels, w, cover, row.number) == (
+                ("F2", "F4", "F6", "F8", "F9", "F10", "F11", "F12"),
+                "nonprimitive", "nonprimitive", 15)
+    assert dict(histogram) == {1: 154, 2: 76, 3: 6, 4: 9, 6: 28, 7: 32, 10: 24, 11: 4,
+                               13: 8, 15: 1}
+    digest = hashlib.sha256(json.dumps(sorted(pinned)).encode()).hexdigest()
+    assert digest == "3c726bc02cac829fdea21a1dddd78e37a7402152141345fe38a1ca44073054de"
 
 
 def test_every_twelve_subset_holds_one_or_three_hyperplanes():
