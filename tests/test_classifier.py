@@ -158,17 +158,16 @@ def _tower_faults(rows) -> list[int]:
 
 
 def test_k3_words_are_the_k3_cover_sizes():
-    """The word sizes the pipeline reads off Table 1's one_* rows are the c of the
-    K3 cover for their p, (2, 8) and (3, 6), as is every tower entry of the table;
-    a copy of the table with one tower entry changed is caught."""
-    from k3lat.pipeline import _k3_word
-
+    """The pipeline counts a Table 1 one_* or two_* row's words by the first entry
+    of the row's tower; that entry is the c of the K3 cover of Lemma 13 for the
+    row's p, 8 at p = 2 and 6 at p = 3, as is every tower entry of the table; a
+    copy of the table with one tower entry changed is caught."""
     k3_c = {p: c for p, c, kind in cover_euler_solutions() if kind == "K3"}
-    words = {(p, c): _k3_word(p, c) for p in (2, 3, 5, 7, 11) for c in range(1, 20)}
-    words = {pc: word for pc, word in words.items() if word is not None}
-    assert words == {(2, 12): (8, "H"), (3, 8): (6, "R")}
-    assert all(size == k3_c[p] for (p, _), (size, _) in words.items())
     rows = table_lookup(1)
+    words = {(r["p"], r["condition"]): r["tower"][0]
+             for r in rows if r["condition"].startswith(("one_", "two_"))}
+    assert words == {(2, "one_H"): 8, (2, "two_H"): 8, (3, "one_R"): 6, (3, "two_R"): 6}
+    assert all(size == k3_c[p] for (p, _), size in words.items())
     assert _tower_faults(rows) == []
     rows[2] = {**rows[2], "tower": [9]}
     assert _tower_faults(rows) == [3]

@@ -10,6 +10,7 @@ sections are listed (the determinants below are the extremal values).
 import hashlib
 import json
 import re
+import shutil
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -17,7 +18,7 @@ from itertools import combinations
 import pytest
 
 from k3lat.classifier import FactsError
-from k3lat.data import load_json
+from k3lat.data import data_dir, load_json
 from k3lat.elliptic import class_lattice, formal_gram, parse_fibration
 from k3lat.finite_geometry import (
     affine_hyperplanes,
@@ -28,7 +29,7 @@ from k3lat.finite_geometry import (
     kummer_lattice,
     line_complements,
 )
-from k3lat.lattice_core import GramLattice, bareiss_det
+from k3lat.lattice_core import GramLattice, bareiss_det, parse_lattice
 from k3lat.pipeline import enriques_row, fibration_configuration, k3_row
 from k3lat.root_config import (
     ChainConfiguration,
@@ -201,6 +202,38 @@ def test_twelve_curve_model_drives_the_quotient_rows(w12):
         w, cover, row = enriques_row(w12_curves(w12, [f"F{i}" for i in labels]))
         assert row.number == row_no, (labels, w, cover, row.number)
         assert row.pi1.name == group
+
+
+def d4_two_a1_curves():
+    """Six disjoint curves at p = 2 in D4 + A1 + A1 (a1 the central root of D4):
+    the orthogonal roots a0, a2, a3 and a0 + 2a1 + a2 + a3, whose sum is twice a
+    class, and the two A1 roots; a0 alone carries the torsion bit, so the 4-set
+    is 2-divisible on the cover but not on the quotient."""
+    lattice = parse_lattice({"sum": ["D4", "A1", "A1"]})
+    curves = [(1, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0),
+              (1, 2, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1, 0)]
+    return ChainConfiguration(lattice, 2, tuple((v,) for v in curves))
+
+
+def test_six_curves_with_no_strict_four_set_reach_row_8():
+    """With no 2-divisible 4-set on the quotient, six curves fit Table 2's row 8,
+    which names no cover fact; this raised FactsError before the rows were read
+    as word counts."""
+    w, cover, row = enriques_row(d4_two_a1_curves())
+    assert (w, cover, row.number, row.pi1.name) == ("primitive", None, 8, "Z/4")
+
+
+def test_a_table_condition_with_no_reading_is_refused_by_row(tmp_path, monkeypatch):
+    """A table from K3LAT_DATA whose row names a condition outside the word-count
+    grammar is a ValueError naming the row and the condition."""
+    shutil.copytree(data_dir(), tmp_path, dirs_exist_ok=True)
+    table = load_json("table2.json")
+    (row,) = [r for r in table["rows"] if r["no"] == 11]
+    row["w"] = "four_K"
+    (tmp_path / "table2.json").write_text(json.dumps(table), encoding="utf-8")
+    monkeypatch.setenv("K3LAT_DATA", str(tmp_path))
+    with pytest.raises(ValueError, match="Table 2 row 11: no reading for w 'four_K'"):
+        enriques_row(d4_two_a1_curves())
 
 
 @pytest.fixture(scope="module")

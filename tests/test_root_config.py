@@ -657,6 +657,34 @@ def test_every_ag23_subset_gets_the_table_row_of_its_code_words():
     assert rows == {9: 453, 10: 48, 12: 9, 13: 1}
 
 
+def test_every_large_kummer_subset_gets_the_table_row_of_its_hyperplanes():
+    """All 2517 subsets of at least 12 of the 16 points, through `restrict` and
+    `k3_row`, against Table 1 read with facts from the affine hyperplanes inside
+    each subset: where Table 1 splits c by word count, one hyperplane is one_H
+    and two that cover the subset are two_H; elsewhere any hyperplane is
+    nonprimitivity."""
+    _, cfg = kummer_lattice()
+    hyperplanes = [frozenset(h.members) for h in affine_hyperplanes(affine_space(2, 4))]
+    table = load_json("table1.json")["rows"]
+    rows = Counter()
+    for size in range(12, 17):
+        for members in combinations(range(16), size):
+            inside = [h for h in hyperplanes if h <= set(members)]
+            candidates = [r for r in table if r["p"] == 2 and r["c_min"] <= size <= r["c_max"]]
+            if not any(r["condition"] == "two_H" for r in candidates):
+                facts = "nonprimitive" if inside else "primitive"
+            elif len(inside) == 1:
+                facts = "one_H"
+            else:
+                assert any(a | b == set(members) for a, b in combinations(inside, 2)), members
+                facts = "two_H"
+            (expected,) = [r["no"] for r in candidates if r["condition"] == facts]
+            _, got_facts, row = k3_row(cfg.restrict(members))
+            assert (got_facts, row.number) == (facts, expected), members
+            rows[row.number] += 1
+    assert rows == {3: 1680, 4: 140, 5: 560, 6: 120, 7: 16, 8: 1}
+
+
 def test_dot_matches_brute_force_oracle():
     rng = random.Random(5)
     for _ in range(200):
