@@ -6,9 +6,10 @@ divisibility facts as *inputs* - computed upstream when lattice data is
 available - and pick the unique row whose p, range of c and conditions fit.
 Every query selects rows by p and c through one matcher, ``_rows``, and the
 admissible primes are worked out from the rank bound c (p - 1) <= 19.
-K3 facts are optional: a missing fact is inferred exactly when one row fits
-(p, c) alone, and any other count of fitting rows is a ``FactsError`` that
-names the rows.
+Every classification, from typed-in facts here or from a model's witnesses in
+``pipeline``, ends in one picker, ``pick_row``: any count of fitting rows other
+than one is a ``FactsError`` that names the rows considered, the rows that fit
+and what was found.  K3 facts are optional: a missing fact fits every row.
 The Enriques classifier additionally re-derives its answer: it classifies
 the double cover, then runs the group-extension filter with the row's
 recorded facts and checks that exactly the stored group survives.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .data import data_dir, load_json
 from .groups import (
@@ -162,13 +163,18 @@ def _table_row(
     )
 
 
-def _unique_row(matches: list[dict], what: str) -> dict:
-    if len(matches) != 1:
-        raise FactsError(
-            f"{len(matches)} table rows {[r['no'] for r in matches]} match {what}; "
-            "the facts must select exactly one"
-        )
-    return matches[0]
+def pick_row(
+    table_id: int, p: int, c: int, fits: Callable[[dict], bool], found: Callable[[], str]
+) -> dict:
+    """The one row of the table at (p, c) that ``fits``, as stored.  Any other count
+    of fitting rows is a FactsError naming the rows considered, the rows that fit and
+    ``found()``, the caller's account of its facts, which is built only on a miss."""
+    rows = _rows(table_id, p, c)
+    fit = [r for r in rows if fits(r)]
+    if len(fit) != 1:
+        raise FactsError(f"Table {table_id} rows {[r['no'] for r in rows]} at p = {p}, c = {c} "
+                         f"considered, {[r['no'] for r in fit]} fit; {found()}")
+    return fit[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +241,8 @@ def k3_classify(inp: K3Input) -> TableRow:
     p, c = inp.p, inp.c
     if p not in _K3_PRIMES:
         raise FactsError(f"p = {p} is not an admissible prime (needs p <= {_K3_PRIMES[-1]}, prime)")
-    matches = [r for r in _rows(1, p, c) if inp.facts in (None, r["condition"])]
-    row = _unique_row(matches, f"p = {p}, c = {c}, facts = {inp.facts}")
+    row = pick_row(1, p, c, lambda r: inp.facts in (None, r["condition"]),
+                   lambda: f"facts = {inp.facts}")
     return _table_row(1, row, p, c, row["condition_text"], _render_sing_y(row, p, c))
 
 
@@ -279,12 +285,9 @@ def _derive_enriques_group(row: dict, p: int, c: int) -> None:
 
 def enriques_classify(inp: EnriquesInput) -> TableRow:
     p, c = inp.p, inp.c
-    matches = [
-        r
-        for r in _rows(2, p, c)
-        if r.get("w") in (None, inp.w) and r.get("cover") in (None, inp.cover)
-    ]
-    row = _unique_row(matches, f"p = {p}, c = {c}, w = {inp.w}, cover = {inp.cover}")
+    row = pick_row(2, p, c,
+                   lambda r: r.get("w") in (None, inp.w) and r.get("cover") in (None, inp.cover),
+                   lambda: f"w = {inp.w}, cover = {inp.cover}")
     _derive_enriques_group(row, p, c)
     return _table_row(2, row, p, c, _enriques_condition_text(row), None)
 

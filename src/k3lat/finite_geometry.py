@@ -202,6 +202,13 @@ class HyperplaneSearchReport:
     none_11: tuple[int, ...]
 
 
+def _sets_inside(sets: list[frozenset], points: int, k: int):
+    """Each k-point subset of range(points), in ``combinations`` order, with the sets inside it."""
+    for sub in combinations(range(points), k):
+        s = frozenset(sub)
+        yield sub, [h for h in sets if h <= s]
+
+
 def hyperplane_covering_search() -> HyperplaneSearchReport:
     """Exhaustive facts about hyperplanes inside small point subsets of F_2^4.
 
@@ -210,38 +217,15 @@ def hyperplane_covering_search() -> HyperplaneSearchReport:
     - an explicit 11-point subset containing no hyperplane.
     """
     hyps = [frozenset(h.members) for h in affine_hyperplanes(AffineSpaceModel(2, 4))]
-    universe = range(16)
-
-    pair_13 = True
-    for sub in combinations(universe, 13):
-        s = frozenset(sub)
-        inside = [h for h in hyps if h <= s]
-        if not any(len(a & b) == 4 for a, b in combinations(inside, 2)):
-            pair_13 = False
-            break
-
-    unique_12 = ()
-    for sub in combinations(universe, 12):
-        s = frozenset(sub)
-        if sum(1 for h in hyps if h <= s) == 1:
-            unique_12 = tuple(sub)
-            break
-
-    none_11 = ()
-    for sub in combinations(universe, 11):
-        s = frozenset(sub)
-        if not any(h <= s for h in hyps):
-            none_11 = tuple(sub)
-            break
-
-    return HyperplaneSearchReport(pair_13=pair_13, unique_12=unique_12, none_11=none_11)
+    return HyperplaneSearchReport(
+        pair_13=all(any(len(a & b) == 4 for a, b in combinations(inside, 2))
+                    for _, inside in _sets_inside(hyps, 16, 13)),
+        unique_12=next((sub for sub, inside in _sets_inside(hyps, 16, 12) if len(inside) == 1), ()),
+        none_11=next((sub for sub, inside in _sets_inside(hyps, 16, 11) if not inside), ()),
+    )
 
 
 def ag23_unique_six_set() -> bool:
     """Every 7-point subset of the 9-point plane F_3^2 contains exactly one line complement."""
     comps = [frozenset(c.members) for c in line_complements(AffineSpaceModel(3, 2))]
-    for sub in combinations(range(9), 7):
-        s = frozenset(sub)
-        if sum(1 for c in comps if c <= s) != 1:
-            return False
-    return True
+    return all(len(inside) == 1 for _, inside in _sets_inside(comps, 9, 7))

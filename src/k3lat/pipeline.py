@@ -10,8 +10,8 @@ from dataclasses import replace
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .classifier import (EnriquesInput, FactsError, K3Input, TableRow, enriques_classify,
-                         k3_classify, table_lookup)
+from .classifier import (EnriquesInput, K3Input, TableRow, enriques_classify, k3_classify,
+                         pick_row, table_lookup)
 from .elliptic import FibrationSpec, class_lattice
 from .root_config import ChainConfiguration, DivisibleSubsetWitness, find_p_divisible_subsets
 
@@ -34,33 +34,30 @@ def _holds(condition: Optional[str], words: Sequence[frozenset], c: int, size: i
 
 
 def _row(table_id: int, p: int, c: int, words: dict, size: Callable[[dict], int]) -> dict:
-    """The one row of the table at (p, c) whose conditions all hold: ``words`` maps
-    a condition key to witness supports, and a word of a row has size(row) chains."""
-    rows = table_lookup(table_id, p=p, c=c)
-    for r, k in ((r, k) for r in rows for k in words if r.get(k)):
-        if not _CONDITION.fullmatch(r[k]):
-            raise ValueError(f"Table {table_id} row {r['no']}: no reading for {k} {r[k]!r}")
-    fit = [r for r in rows if all(_holds(r.get(k), ws, c, size(r)) for k, ws in words.items())]
-    if len(fit) != 1:
-        found = "; ".join(f"{k} words: " + (", ".join(
+    """The one row of the table at (p, c) whose conditions all hold, from the
+    classifier's picker: ``words`` maps a condition key to witness supports, and a
+    word of a row has size(row) chains."""
+    def fits(row: dict) -> bool:
+        for k in words:
+            if row.get(k) and not _CONDITION.fullmatch(row[k]):
+                raise ValueError(f"Table {table_id} row {row['no']}: no reading for {k} {row[k]!r}")
+        return all(_holds(row.get(k), ws, c, size(row)) for k, ws in words.items())
+
+    def found() -> str:
+        return "; ".join(f"{k} words: " + (", ".join(
             f"{n} {s}-point word{'s' * (n != 1)}" for s, n in sorted(Counter(map(len, ws)).items()))
-            or "none") for k, ws in words.items())
-        raise FactsError(f"Table {table_id} rows {[r['no'] for r in rows]} at p = {p}, c = {c} "
-                         f"considered, {[r['no'] for r in fit]} fit; {found} on {c} chains")
-    return fit[0]
+            or "none") for k, ws in words.items()) + f" on {c} chains"
 
-
-def k3_facts(p: int, c: int, witnesses: Sequence[DivisibleSubsetWitness]) -> str:
-    """The condition of the one Table 1 row at (p, c) that these witnesses fit; a
-    word of a row has as many chains as the first entry of its tower (none if empty)."""
-    return _row(1, p, c, {"condition": [frozenset(w.subset) for w in witnesses]},
-                lambda row: sum(row["tower"][:1]))["condition"]
+    return pick_row(table_id, p, c, fits, found)
 
 
 def k3_row(cfg: ChainConfiguration) -> tuple[list[DivisibleSubsetWitness], str, TableRow]:
-    """The witnesses of a configuration, the facts they give and the Table 1 row."""
+    """The witnesses of a configuration, the facts they give and the Table 1 row: the
+    facts are the condition of the one row at (p, c) the witnesses fit, where a word
+    of a row has as many chains as the first entry of its tower (none if empty)."""
     witnesses = find_p_divisible_subsets(cfg)
-    facts = k3_facts(cfg.p, cfg.count, witnesses)
+    facts = _row(1, cfg.p, cfg.count, {"condition": [frozenset(w.subset) for w in witnesses]},
+                 lambda row: sum(row["tower"][:1]))["condition"]
     return witnesses, facts, k3_classify(K3Input(cfg.p, cfg.count, facts))
 
 
@@ -75,8 +72,9 @@ def fibration_configuration(spec: FibrationSpec, p: int,
     return ChainConfiguration(lattice, p, chains)
 
 
-def enriques_facts(cfg: ChainConfiguration) -> tuple[str, Optional[str]]:
-    """The facts (w, cover) of the one Table 2 row disjoint curves fit; cover None if it names none.
+def enriques_row(cfg: ChainConfiguration) -> tuple[str, Optional[str], TableRow]:
+    """The facts (w, cover) of the one Table 2 row disjoint curves fit, cover None if
+    the row names none, and that row.
 
     The curves are one-class chains at p = 2 whose vectors end in one torsion bit,
     K_W mod 2.  A sum is 2-divisible on the quotient when the search counts that
@@ -84,7 +82,7 @@ def enriques_facts(cfg: ChainConfiguration) -> tuple[str, Optional[str]]:
     there.  Each curve lifts to two on the K3 double cover, so a row's word is half
     that of the Table 1 row its ``k3_facts`` name at twice the curves."""
     r = cfg.ambient.rank
-    if cfg.p != 2 or cfg.vector_length != r + 1:
+    if cfg.p != 2 or any(len(v) != r + 1 for chain in cfg.chains for v in chain):
         raise ValueError("Enriques curves are a p = 2 configuration with one torsion bit")
     cut = replace(cfg, chains=tuple(tuple(v[:r] for v in chain) for chain in cfg.chains))
     words = {key: [frozenset(w.subset) for w in find_p_divisible_subsets(side)]
@@ -92,10 +90,5 @@ def enriques_facts(cfg: ChainConfiguration) -> tuple[str, Optional[str]]:
     cover_words = {k3["condition"]: sum(k3["tower"][:1])
                    for k3 in table_lookup(1, p=cfg.p, c=2 * cfg.count)}
     row = _row(2, cfg.p, cfg.count, words, lambda row: cover_words.get(row["k3_facts"], 0) // 2)
-    return row["w"], row["cover"]
-
-
-def enriques_row(cfg: ChainConfiguration) -> tuple[str, Optional[str], TableRow]:
-    """The facts (w, cover) of disjoint Enriques curves and the Table 2 row."""
-    w, cover = enriques_facts(cfg)
-    return w, cover, enriques_classify(EnriquesInput(cfg.p, cfg.count, w=w, cover=cover))
+    return row["w"], row["cover"], enriques_classify(
+        EnriquesInput(cfg.p, cfg.count, w=row["w"], cover=row["cover"]))

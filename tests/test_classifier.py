@@ -101,8 +101,9 @@ def test_k3_inference_without_facts():
                     k3_classify(K3Input(p, c))
             else:
                 assert k3_classify(K3Input(p, c)).number == expected, (p, c)
-    with pytest.raises(FactsError, match=r"\[3, 4\]"):
+    with pytest.raises(FactsError) as miss:
         k3_classify(K3Input(2, 12))
+    assert str(miss.value) == "Table 1 rows [3, 4] at p = 2, c = 12 considered, [3, 4] fit; facts = None"
 
 
 def test_k3_sing_y_column():
@@ -206,8 +207,10 @@ def test_enriques_roundtrip_all_rows():
 def test_enriques_underdetermined_or_inconsistent():
     with pytest.raises(FactsError):
         enriques_classify(EnriquesInput(2, 4, w="nonprimitive", cover="primitive"))
-    with pytest.raises(FactsError):
+    with pytest.raises(FactsError) as miss:
         enriques_classify(EnriquesInput(2, 4, w="primitive"))  # cover fact missing
+    assert str(miss.value) == ("Table 2 rows [2, 3, 4] at p = 2, c = 4 considered, [] fit; "
+                               "w = primitive, cover = None")
     with pytest.raises(FactsError):
         enriques_classify(EnriquesInput(7, 2))
 

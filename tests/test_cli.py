@@ -468,7 +468,7 @@ def test_malformed_json_exit_2(capsys):
         (["groups", "normal-count", "--group", "Q9", "--index", "2"],
          "error: unknown catalog group 'Q9'"),
         (["classify", "k3", "--p", "2", "--c", "16", "--facts", "primitive"],
-         "error: 0 table rows [] match p = 2, c = 16, facts = primitive"),
+         "error: Table 1 rows [8] at p = 2, c = 16 considered, [] fit; facts = primitive"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):

@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
+from k3lat.classifier import FactsError
 from k3lat.data import load_json
 from k3lat.lattice_core import GramLattice, catalog_lattice, parse_lattice
-from k3lat.pipeline import enriques_facts
+from k3lat.pipeline import enriques_row
 from k3lat.root_config import (
     ChainConfiguration,
     enriques_mod2_divisibility,
@@ -105,14 +106,24 @@ def test_w12_canonical_class_is_the_torsion_bit(w12):
     assert w12["kw"] == [0] * 10 + [1]
 
 
-def test_enriques_facts_refuses_a_configuration_that_is_not_p2_with_one_torsion_bit(w12):
+def test_enriques_row_refuses_curves_that_are_not_p2_with_one_torsion_bit(w12):
     a2_with_bit = ChainConfiguration(catalog_lattice("A2"), 3, (((1, 0, 0), (0, 1, 0)),))
     with pytest.raises(ValueError, match="p = 2 configuration with one torsion bit"):
-        enriques_facts(a2_with_bit)
+        enriques_row(a2_with_bit)
     lat = GramLattice(tuple(map(tuple, w12["gram"])))
     free = ChainConfiguration(lat, 2, tuple((tuple(w12["curves"][f"F{i}"][:10]),) for i in (2, 4)))
     with pytest.raises(ValueError, match="p = 2 configuration with one torsion bit"):
-        enriques_facts(free)
+        enriques_row(free)
+
+
+def test_no_enriques_curves_reach_the_row_picker(w12):
+    """With no curves there is no vector whose length could be wrong, so the empty
+    restriction misses in Table 2 at c = 0 as the empty Kummer restriction does in
+    Table 1; it used to be refused as a configuration without a torsion bit."""
+    with pytest.raises(FactsError) as miss:
+        enriques_row(w12_config(w12, (2, 4)).restrict([]))
+    assert str(miss.value) == ("Table 2 rows [] at p = 2, c = 0 considered, [] fit; "
+                               "w words: none; cover words: none on 0 chains")
 
 
 def test_w12_recorded_congruences(w12):

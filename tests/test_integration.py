@@ -29,7 +29,7 @@ from k3lat.finite_geometry import (
     kummer_lattice,
     line_complements,
 )
-from k3lat.lattice_core import GramLattice, bareiss_det, parse_lattice
+from k3lat.lattice_core import GramLattice, bareiss_det, catalog_lattice, parse_lattice
 from k3lat.pipeline import enriques_row, fibration_configuration, k3_row
 from k3lat.root_config import (
     ChainConfiguration,
@@ -168,8 +168,19 @@ def test_two_words_that_do_not_cover_are_a_facts_error():
     """At (2, 12) two 8-point words must cover the configuration; these two
     cover only ten of the twelve chains."""
     _, cfg = glue_overlattice(2, 12, [[1] * 8 + [0] * 4, [0, 0] + [1] * 8 + [0, 0]])
-    with pytest.raises(FactsError, match="2 8-point words on 12 chains"):
+    with pytest.raises(FactsError) as miss:
         k3_row(cfg)
+    assert str(miss.value) == ("Table 1 rows [3, 4] at p = 2, c = 12 considered, [] fit; "
+                               "condition words: 1 4-point word, 2 8-point words on 12 chains")
+
+
+def test_k3_row_refuses_a_prime_above_the_rank_bound():
+    """One A22 chain at p = 23 fits Table 1's row for p > 7 by its words, and the
+    classifier it finishes through refuses the prime."""
+    lattice = catalog_lattice("A22")
+    chain = tuple(tuple(int(i == j) for j in range(22)) for i in range(22))
+    with pytest.raises(FactsError, match="p = 23 is not an admissible prime"):
+        k3_row(ChainConfiguration(lattice, 23, (chain,)))
 
 
 @pytest.fixture(scope="module")
