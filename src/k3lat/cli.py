@@ -3,8 +3,11 @@
 Every operation is exposed as a subcommand with dual output: human-readable
 text by default, the full JSON payload with ``--json``.  Exit codes: 0 for
 success (and for verification commands, a true/consistent outcome), 1 for a
-false verification, 2 for invalid input.  `run` alone turns a refusal into exit 2
-and prints its text; `_fields` puts the name of the field at fault in that text.
+false verification, 2 for invalid input.  Each operation's parser takes exactly
+the flags its handler reads (`_OPERATIONS`), so argparse refuses a missing, unread
+or clashing flag: a usage line, then ``k3lat ...: error:`` naming the flag.  Every
+other refusal reaches `run`, which alone turns it into exit 2 and prints ``error:``
+and its text; `_fields` puts the name of the field at fault in that text.
 """
 
 from __future__ import annotations
@@ -31,13 +34,6 @@ from .lattice_core import typed
 
 class CliError(Exception):
     pass
-
-
-def _require(args, name: str):
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise CliError(f"--{name} is required for this operation")
-    return value
 
 
 _MAX_DEPTH = 100  # far deeper than any k3lat input, far below the recursion limit
@@ -116,11 +112,11 @@ def _config_from_json(obj):
 def _cmd_lattice(args):
     if args.op == "snf":
         with _fields("matrix"):
-            M = typed(_load_json_arg(_require(args, "matrix")), [[int]], "matrix")
+            M = typed(_load_json_arg(args.matrix), [[int]], "matrix")
             D, P, Q = lattice_core.smith_normal_form(M)
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         return 0, {"diagonal": diag, "D": D, "P": P, "Q": Q}, [f"diagonal: {diag}"]
-    obj = _load_json_arg(_require(args, "lattice"))
+    obj = _load_json_arg(args.lattice)
     with _fields("lattice"):
         lat = lattice_core.parse_lattice(obj)
     if args.op == "disc":
@@ -129,7 +125,7 @@ def _cmd_lattice(args):
             f"discriminant group: {inv} (order {inv.order})"
         ]
     with _fields("basis"):
-        basis = typed(_load_json_arg(_require(args, "basis")), [[int]], "basis")
+        basis = typed(_load_json_arg(args.basis), [[int]], "basis")
     closure, glue = lattice_core.primitive_closure(lattice_core.EmbeddedSublattice(lat, basis))
     return 0, {"closure_basis": closure, "glue": list(glue.factors)}, [
         f"glue group: {glue}",
@@ -210,9 +206,9 @@ def _cmd_fibration(args):
         lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in report.checks]
         return (0 if report.ok else 1), payload, lines
     if args.op == "height":
-        h = elliptic.height(_require(args, "section"), spec)
+        h = elliptic.height(args.section, spec)
         return 0, {"section": args.section, "height": h}, [f"h({args.section}) = {h}"]
-    rel = _load_json_arg(_require(args, "relation"))
+    rel = _load_json_arg(args.relation)
     with _fields("relation"):
         lhs = elliptic.parse_divisor(typed(rel, dict, "the top level")["lhs"], "lhs")
         rhs = elliptic.parse_divisor(rel["rhs"], "rhs")
@@ -225,20 +221,19 @@ def _cmd_fibration(args):
 
 def _cmd_groups(args):
     if args.op == "build":
-        if args.group and args.presentation:
-            raise CliError("give either --group or --presentation, not both")
-        if args.group:
+        bound = DEFAULT_COSET_BOUND if args.bound is None else args.bound
+        if args.presentation is None:
+            if args.bound is not None:
+                raise CliError("--bound bounds a --presentation; a --group takes none")
             table = _group_arg(args.group)
-        elif not args.presentation:
-            raise CliError("--group or --presentation is required")
-        elif args.bound > MAX_COSET_BOUND:
-            raise CliError(f"--bound {args.bound} is above {MAX_COSET_BOUND} cosets")
+        elif bound > MAX_COSET_BOUND:
+            raise CliError(f"--bound {bound} is above {MAX_COSET_BOUND} cosets")
         else:
             with _fields("presentation"):
                 obj = typed(_load_json_arg(args.presentation), dict, "the top level")
                 pres = GroupPresentation(tuple(typed(obj["gens"], [str], "gens")),
                                          tuple(typed(obj["rels"], [str], "rels")))
-                table = group_from_presentation(pres, bound=args.bound)
+                table = group_from_presentation(pres, bound=bound)
         payload = {
             "order": table.order,
             "abelian": table.is_abelian(),
@@ -246,15 +241,15 @@ def _cmd_groups(args):
         }
         return 0, payload, [f"order {table.order}, {'abelian' if table.is_abelian() else 'nonabelian'}"]
     if args.op == "normal-count":
-        table = _group_arg(_require(args, "group"))
-        if _require(args, "index") < 1:
+        table = _group_arg(args.group)
+        if args.index < 1:
             raise CliError(f"--index {args.index} is not a positive subgroup index")
         n = count_normal_subgroups(table, args.index)
         return 0, {"group": table.name, "index": args.index, "count": n}, [
             f"{table.name or 'group'} has {n} normal subgroup(s) of index {args.index}"
         ]
-    a = _group_arg(_require(args, "group"))
-    b = _group_arg(_require(args, "other"))
+    a = _group_arg(args.group)
+    b = _group_arg(args.other)
     ok = is_isomorphic(a, b)
     return (0 if ok else 1), {"isomorphic": ok}, [
         f"{a.name} and {b.name} are {'isomorphic' if ok else 'not isomorphic'}"
@@ -276,7 +271,7 @@ def _row_payload(row: classifier.TableRow):
 
 
 def _cmd_classify(args):
-    if args.surface == "k3":
+    if args.op == "k3":
         row = classifier.k3_classify(classifier.K3Input(args.p, args.c, args.facts))
     else:
         row = classifier.enriques_classify(
@@ -337,6 +332,43 @@ def _cmd_selftest(args):
 
 
 # --------------------------------------------------------------------------
+# how argparse reads each flag; an operation's parser declares only those it reads
+_FLAGS = {
+    "matrix": {"help": "integer matrix (JSON or file)"},
+    "lattice": {"help": "lattice (catalog name, JSON or file)"},
+    "basis": {"help": "list of vectors (JSON or file)"},
+    "config": {"help": "configuration (JSON or file)"},
+    "p": {"type": int, "default": 2}, "n": {"type": int, "default": 4}, "c": {"type": int},
+    "spec": {"help": "fibration (JSON or file)"},
+    "section": {"help": "section name"},
+    "relation": {"help": "relation (JSON or file)"},
+    "group": {"help": "catalog group name"},
+    "presentation": {"help": '{"gens": [...], "rels": [...]} (JSON or file)'},
+    "bound": {"type": int, "help": f"coset enumeration bound of a --presentation, "
+              f"{DEFAULT_COSET_BOUND} if not given, at most {MAX_COSET_BOUND}"},
+    "index": {"type": int, "help": "subgroup index"},
+    "other": {"help": "second catalog group name"},
+    "facts": {"help": "K3 facts: primitive|nonprimitive|one_H|two_H|one_R|two_R"},
+    "w": {"help": "quotient-side facts"}, "cover": {"help": "cover-side facts"},
+}
+
+# command: (help, handler, {operation: the flags it reads}); a flag is required,
+# "[flag]" is optional and "a|b" is exactly one of a and b
+_OPERATIONS = {
+    "lattice": ("Smith form, discriminant group, saturation", _cmd_lattice,
+                {"snf": "matrix", "disc": "lattice", "closure": "lattice basis"}),
+    "config": ("chain-configuration divisibility", _cmd_config,
+               {"divisible": "config", "primitive": "config"}),
+    "geometry": ("finite-geometry models and searches", _cmd_geometry,
+                 {"hyperplanes": "[p] [n]", "kummer": "", "lemma16": "", "ag23": ""}),
+    "fibration": ("elliptic fibration checks", _cmd_fibration,
+                  {"validate": "spec", "height": "spec section", "relation": "spec relation"}),
+    "groups": ("finite group construction and queries", _cmd_groups,
+               {"build": "group|presentation [bound]", "normal-count": "group index",
+                "iso": "group other"}),
+    "classify": ("table classification from divisibility facts", _cmd_classify,
+                 {"k3": "p c [facts]", "enriques": "p c [w] [cover]"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,49 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="emit the JSON payload")
     sub = top.add_subparsers(dest="command", required=True)
 
-    lat = sub.add_parser("lattice", help="Smith form, discriminant group, saturation")
-    lat.add_argument("op", choices=["snf", "disc", "closure"])
-    lat.add_argument("--matrix", help="integer matrix (JSON or file)")
-    lat.add_argument("--lattice", help="lattice (catalog name, JSON or file)")
-    lat.add_argument("--basis", help="list of vectors (JSON or file)")
-    lat.set_defaults(func=_cmd_lattice)
-
-    cfg = sub.add_parser("config", help="chain-configuration divisibility")
-    cfg.add_argument("op", choices=["divisible", "primitive"])
-    cfg.add_argument("--config", required=True, help="configuration (JSON or file)")
-    cfg.set_defaults(func=_cmd_config)
-
-    geo = sub.add_parser("geometry", help="finite-geometry models and searches")
-    geo.add_argument("op", choices=["hyperplanes", "kummer", "lemma16", "ag23"])
-    geo.add_argument("--p", type=int, default=2)
-    geo.add_argument("--n", type=int, default=4)
-    geo.set_defaults(func=_cmd_geometry)
-
-    fib = sub.add_parser("fibration", help="elliptic fibration checks")
-    fib.add_argument("op", choices=["validate", "height", "relation"])
-    fib.add_argument("--spec", required=True, help="fibration (JSON or file)")
-    fib.add_argument("--section", help="section name for height")
-    fib.add_argument("--relation", help="relation (JSON or file)")
-    fib.set_defaults(func=_cmd_fibration)
-
-    grp = sub.add_parser("groups", help="finite group construction and queries")
-    grp.add_argument("op", choices=["build", "normal-count", "iso"])
-    grp.add_argument("--group", help="catalog group name")
-    grp.add_argument("--presentation", help='{"gens": [...], "rels": [...]} (JSON or file)')
-    grp.add_argument("--bound", type=int, default=DEFAULT_COSET_BOUND,
-                     help=f"coset enumeration bound, at most {MAX_COSET_BOUND}")
-    grp.add_argument("--index", type=int, help="subgroup index for normal-count")
-    grp.add_argument("--other", help="second group for iso")
-    grp.set_defaults(func=_cmd_groups)
-
-    cls = sub.add_parser("classify", help="table classification from divisibility facts")
-    cls.add_argument("surface", choices=["k3", "enriques"])
-    cls.add_argument("--p", type=int, required=True)
-    cls.add_argument("--c", type=int, required=True)
-    cls.add_argument("--facts", help="K3 facts: primitive|nonprimitive|one_H|two_H|one_R|two_R")
-    cls.add_argument("--w", help="quotient-side facts (Enriques)")
-    cls.add_argument("--cover", help="cover-side facts (Enriques)")
-    cls.set_defaults(func=_cmd_classify)
+    for command, (text, func, operations) in _OPERATIONS.items():
+        ops = sub.add_parser(command, help=text).add_subparsers(dest="op", required=True)
+        for op, flags in operations.items():
+            parser = ops.add_parser(op)
+            parser.set_defaults(func=func)
+            for token in flags.split():
+                names = token.strip("[]").split("|")
+                into = parser.add_mutually_exclusive_group(required=True) if len(names) > 1 else parser
+                for name in names:
+                    into.add_argument(f"--{name}", required=token == name, **_FLAGS[name])
 
     tab = sub.add_parser("table", help="query the bundled classification tables")
     tab.add_argument("table", type=int, choices=[1, 2])
@@ -401,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--realizability", choices=["true", "unknown"])
     tab.set_defaults(func=_cmd_table)
 
-    sub.add_parser("lemma13", help="degree-p cover Euler enumeration").set_defaults(
-        func=_cmd_lemma13
-    )
+    sub.add_parser("lemma13", help="degree-p cover Euler enumeration").set_defaults(func=_cmd_lemma13)
     sub.add_parser("selftest", help="run the acceptance suite").set_defaults(func=_cmd_selftest)
     return top
 

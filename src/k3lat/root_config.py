@@ -209,12 +209,8 @@ def find_p_divisible_subsets(cfg: ChainConfiguration) -> list[DivisibleSubsetWit
     """
     p = cfg.p
     c = cfg.count
-    if c == 0:
-        return []
     r = cfg.ambient.rank
     n = cfg.vector_length if p == 2 else r
-    if c * (p - 1) > r:
-        raise ValueError("configuration rank exceeds the ambient rank")
 
     rows = []  # sum_k k chain[k-1] over n coordinates; the constructor checked every length
     for chain in cfg.chains:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import elliptic, finite_geometry
-from k3lat.cli import run
+from k3lat.cli import build_parser, run
 from k3lat.data import data_dir
 
 
@@ -356,8 +356,8 @@ def test_malformed_json_exit_2(capsys):
           mp108_edited(lambda s: s["sections"][0].update(dots=[["P2", 0]]))],
          "bad fibration: sections[0].dots must be an object"),
         # refusals of the other commands that no other test reaches
-        (["groups", "build", "--group", "D8", "--presentation", '{"gens":["a"],"rels":["a2"]}'],
-         "give either --group or --presentation, not both"),
+        (["groups", "build", "--group", "D8", "--bound", "50"],
+         "--bound bounds a --presentation; a --group takes none"),
         (["groups", "build", "--presentation", '{"gens":["a","a"],"rels":["a2"]}'],
          "bad presentation: duplicate generator names"),
         (["lattice", "closure", "--lattice", '{"gram":[[2,2],[2,2]]}', "--basis", "[[1,0]]"],
@@ -508,21 +508,107 @@ def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def argparse_refusal(err: str) -> str:
+    """The error line of a refusal by argparse, which follows its usage line."""
+    assert err.startswith("usage: k3lat") and "Traceback" not in err, err
+    line = err.strip().splitlines()[-1]
+    assert line.startswith("k3lat") and ": error: " in line, err
+    return line
+
+
 def test_missing_operation_flags_exit_2(capsys):
-    for argv in (
-        ["lattice", "snf"],
-        ["lattice", "disc"],
-        ["lattice", "closure", "--lattice", '"U"'],
-        ["fibration", "height", "--spec", str(data_dir() / "mp9.json")],
-        ["fibration", "relation", "--spec", str(data_dir() / "mp9.json")],
-        ["groups", "build"],
-        ["groups", "normal-count", "--index", "2"],
-        ["groups", "normal-count", "--group", "D8"],
-        ["groups", "iso", "--group", "D8"],
+    """A flag an operation needs is required by its parser, which names it."""
+    for argv, missing in (
+        (["lattice", "snf"], ["--matrix"]),
+        (["lattice", "disc"], ["--lattice"]),
+        (["lattice", "closure", "--lattice", '"U"'], ["--basis"]),
+        (["config", "primitive"], ["--config"]),
+        (["fibration", "validate"], ["--spec"]),
+        (["fibration", "height", "--spec", MP9], ["--section"]),
+        (["fibration", "relation", "--spec", MP9], ["--relation"]),
+        (["groups", "build"], ["--group", "--presentation"]),
+        (["groups", "build", "--bound", "50"], ["--group", "--presentation"]),
+        (["groups", "normal-count", "--index", "2"], ["--group"]),
+        (["groups", "normal-count", "--group", "D8"], ["--index"]),
+        (["groups", "iso", "--group", "D8"], ["--other"]),
+        (["classify", "k3", "--p", "2"], ["--c"]),
+        (["classify", "enriques", "--c", "2"], ["--p"]),
     ):
-        code, _, err = run_capture(capsys, argv)
-        assert code == 2, argv
-        assert "error" in err
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == "", argv
+        line = argparse_refusal(err)
+        assert all(flag in line for flag in missing), (argv, line)
+
+
+# the flags each operation reads, and a valid invocation of it
+OPERATIONS = {
+    ("lattice", "snf"): {"--matrix": "[[2,0],[0,3]]"},
+    ("lattice", "disc"): {"--lattice": '"A4"'},
+    ("lattice", "closure"): {"--lattice": '{"gram":[[1,0],[0,1]]}', "--basis": "[[2,0]]"},
+    ("config", "divisible"): {"--config": '{"ambient":"A2","p":3,"chains":[]}'},
+    ("config", "primitive"): {"--config": '{"ambient":"A2","p":3,"chains":[]}'},
+    ("geometry", "hyperplanes"): {"--p": "3", "--n": "2"},
+    ("geometry", "kummer"): {},
+    ("geometry", "lemma16"): {},
+    ("geometry", "ag23"): {},
+    ("fibration", "validate"): {"--spec": MP9},
+    ("fibration", "height"): {"--spec": MP9, "--section": "P1"},
+    ("fibration", "relation"): {"--spec": MP108, "--relation": MP108_RELATION},
+    ("groups", "build"): {"--group": "D8", "--presentation": None, "--bound": None},
+    ("groups", "normal-count"): {"--group": "D8", "--index": "2"},
+    ("groups", "iso"): {"--group": "D8", "--other": "D8"},
+    ("classify", "k3"): {"--p": "2", "--c": "13", "--facts": "nonprimitive"},
+    ("classify", "enriques"): {"--p": "5", "--c": "2", "--w": "primitive", "--cover": "nonprimitive"},
+}
+# a value for each flag, given where an operation does not read it
+VALUES = {"--matrix": "[[1]]", "--lattice": '"A4"', "--basis": "[[1]]", "--p": "3", "--n": "2",
+          "--section": "P1", "--relation": MP108_RELATION,
+          "--presentation": '{"gens":["a"],"rels":["a2"]}', "--bound": "50", "--index": "2",
+          "--other": "D8", "--facts": "nonprimitive", "--w": "primitive", "--cover": "nonprimitive"}
+
+
+def _invocation(command, op):
+    """``command op`` with every flag it reads that has a value."""
+    return [command, op, *(x for flag, value in OPERATIONS[command, op].items()
+                           if value is not None for x in (flag, value))]
+
+
+# (command, op, flag): a flag that another operation of the command reads and this one does not
+UNREAD = [(command, op, flag) for (command, op), flags in OPERATIONS.items()
+          for flag in sorted({f for (c, _), fs in OPERATIONS.items() if c == command for f in fs}
+                             - set(flags))]
+
+
+def test_each_operation_declares_the_flags_it_reads(capsys):
+    """Each operation's parser declares exactly the flags of `OPERATIONS`, and the
+    invocation built from them runs."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    declared = {}
+    for command, parser in commands.items():
+        ops = next((a for a in parser._actions if a.dest == "op"), None)
+        for op, op_parser in (ops.choices.items() if ops else ()):
+            declared[command, op] = {s for a in op_parser._actions for s in a.option_strings
+                                     if s.startswith("--") and s != "--help"}
+    assert declared == {key: set(flags) for key, flags in OPERATIONS.items()}
+    for command, op in OPERATIONS:
+        assert run_capture(capsys, _invocation(command, op))[0] == 0, (command, op)
+    assert len(UNREAD) == 26
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [(_invocation(command, op) + [flag, VALUES[flag]], [flag]) for command, op, flag in UNREAD]
+    + [(["groups", "build", "--group", "D8", "--presentation", '{"gens":["a"],"rels":["a2"]}'],
+        ["--group", "--presentation"])],
+    ids=[" ".join(key) for key in UNREAD] + ["groups build --group --presentation"],
+)
+def test_argparse_refuses_a_flag_by_name(capsys, argv, flags):
+    """A flag the operation does not read, or two that exclude each other, exit 2 through
+    argparse's usage line, and its error line names them."""
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    line = argparse_refusal(err)
+    assert all(flag in line for flag in flags), line
 
 
 def test_data_dir_env_override(capsys, tmp_path, monkeypatch):
