@@ -43,11 +43,9 @@ from .groups import (
 )
 from .lattice_core import (
     AbelianInvariants,
-    EmbeddedSublattice,
     GramLattice,
     catalog_lattice,
     discriminant_group,
-    is_p_divisible_class,
     parse_lattice,
     primitive_closure,
     smith_normal_form,

@@ -240,6 +240,28 @@ def _criterion_8():
     return "order 10, 6, 18, 8 and 16 filters reproduce the stated survivors"
 
 
+def random_self_orthogonal_code(rng: random.Random, p: int, c: int) -> list[list[int]]:
+    """Generators of a random self-orthogonal code in F_p^c: of 12 draws of c digits,
+    each nonzero word is kept that pairs to 0 with itself (has weight divisible by 4,
+    for p = 2) and with the words kept before, and is independent of them."""
+    basis = []
+    for _ in range(12):
+        w = [rng.randrange(p) for _ in range(c)]
+        if all(x == 0 for x in w):
+            continue
+        if p == 2:
+            if sum(w) % 4 != 0 or any(sum(a & b for a, b in zip(w, v)) % 2 for v in basis):
+                continue
+        elif sum(x * x for x in w) % p != 0 or any(
+            sum(a * b for a, b in zip(w, v)) % p for v in basis
+        ):
+            continue
+        cand = basis + [w]
+        if not lattice_core.left_kernel_mod_p(cand, p):
+            basis = cand
+    return basis
+
+
 def _criterion_9():
     rng = random.Random(20260808)
 
@@ -264,11 +286,8 @@ def _criterion_9():
             tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         )
         basis = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(1, n)))
-        closure, _ = lattice_core.primitive_closure(lattice_core.EmbeddedSublattice(amb, basis))
-        _, glue2 = lattice_core.primitive_closure(
-            lattice_core.EmbeddedSublattice(amb, tuple(map(tuple, closure)))
-        )
-        assert glue2.is_trivial
+        closure, _ = lattice_core.primitive_closure(amb, basis)
+        assert lattice_core.primitive_closure(amb, closure)[1].is_trivial
 
     # radical test vs brute-force kernel on small one-fibre systems
     for name in ["mp1", "mp9", "mp29", "mp30", "mp39", "mp64", "mp108", "double_iv_star"]:
@@ -294,34 +313,10 @@ def _criterion_9():
                 assert elliptic.in_radical(spec, v) == multiple
 
     # glue group trivial <=> no divisibility witness, on random configurations
-    from .lattice_core import left_kernel_mod_p
-
-    def random_code(p, c):
-        basis = []
-        for _ in range(12):
-            w = [rng.randrange(p) for _ in range(c)]
-            if all(x == 0 for x in w):
-                continue
-            if p == 2:
-                if sum(w) % 4 != 0 or any(
-                    sum(a & b for a, b in zip(w, v)) % 2 for v in basis
-                ):
-                    continue
-            else:
-                if sum(x * x for x in w) % p != 0 or any(
-                    sum(a * b for a, b in zip(w, v)) % p for v in basis
-                ):
-                    continue
-            cand = basis + [w]
-            if len(left_kernel_mod_p(cand, p)) > 0:
-                continue
-            basis = cand
-        return basis
-
     for _ in range(100):
         p = rng.choice([2, 2, 3, 5])
         c = rng.randint(1, 8 // (p - 1))
-        code = random_code(p, c) if rng.random() < 0.7 else []
+        code = random_self_orthogonal_code(rng, p, c) if rng.random() < 0.7 else []
         _, cfg = finite_geometry.glue_overlattice(p, c, code)
         glue = root_config.chain_span_glue(cfg)
         witnesses = root_config.find_p_divisible_subsets(cfg)

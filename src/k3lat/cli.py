@@ -5,9 +5,12 @@ text by default, the full JSON payload with ``--json``.  Exit codes: 0 for
 success (and for verification commands, a true/consistent outcome), 1 for a
 false verification, 2 for invalid input.  Each operation's parser takes exactly
 the flags its handler reads (`_OPERATIONS`), so argparse refuses a missing, unread
-or clashing flag: a usage line, then ``k3lat ...: error:`` naming the flag.  Every
-other refusal reaches `run`, which alone turns it into exit 2 and prints ``error:``
-and its text; `_fields` puts the name of the field at fault in that text.
+or clashing flag: the operation's usage line, then ``k3lat <command> <op>: error:``
+naming the flag.  Argparse hands an unread flag back up to the top parser, so `run`
+parses with ``parse_known_args`` and passes it to the parser that each operation
+sets as its ``parser`` default.  Every other refusal reaches `run`, which alone turns
+it into exit 2 and prints ``error:`` and its text; `_fields` puts the name of the
+field at fault in that text.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def _cmd_lattice(args):
         ]
     with _fields("basis"):
         basis = typed(_load_json_arg(args.basis), [[int]], "basis")
-    closure, glue = lattice_core.primitive_closure(lattice_core.EmbeddedSublattice(lat, basis))
+    closure, glue = lattice_core.primitive_closure(lat, basis)
     return 0, {"closure_basis": closure, "glue": list(glue.factors)}, [
         f"glue group: {glue}",
         f"closure basis: {closure}",
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         ops = sub.add_parser(command, help=text).add_subparsers(dest="op", required=True)
         for op, flags in operations.items():
             parser = ops.add_parser(op)
-            parser.set_defaults(func=func)
+            parser.set_defaults(func=func, parser=parser)
             for token in flags.split():
                 names = token.strip("[]").split("|")
                 into = parser.add_mutually_exclusive_group(required=True) if len(names) > 1 else parser
@@ -398,17 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--c", type=int)
     tab.add_argument("--pi1", choices=["finite", "infinite"])
     tab.add_argument("--realizability", choices=["true", "unknown"])
-    tab.set_defaults(func=_cmd_table)
+    tab.set_defaults(func=_cmd_table, parser=tab)
 
-    sub.add_parser("lemma13", help="degree-p cover Euler enumeration").set_defaults(func=_cmd_lemma13)
-    sub.add_parser("selftest", help="run the acceptance suite").set_defaults(func=_cmd_selftest)
+    for name, text, func in (("lemma13", "degree-p cover Euler enumeration", _cmd_lemma13),
+                             ("selftest", "run the acceptance suite", _cmd_selftest)):
+        parser = sub.add_parser(name, help=text)
+        parser.set_defaults(func=func, parser=parser)
     return top
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:  # refused by the operation's own parser, whose usage line shows what it reads
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

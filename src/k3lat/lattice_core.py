@@ -23,7 +23,9 @@ same entry.  The reduction copies its input, and the copy (`copy_matrix`)
 checks it: an entry that int() would change, such as 2.5 or "2", is refused
 with a ValueError naming its row and column.
 Matrices are lists of lists of ints; the public domain types freeze their
-data into tuples and are safe to share between threads.
+data into tuples and are safe to share between threads.  A sublattice is the
+list of vectors that span it: `primitive_closure` takes the ambient lattice and
+that list, and saturates it.
 """
 
 from __future__ import annotations
@@ -503,7 +505,6 @@ class GramLattice:
     """A finite-rank integral lattice presented by a symmetric Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
-    name: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "gram", tuple(map(tuple, copy_matrix(self.gram))))
@@ -544,27 +545,6 @@ class GramLattice:
             raise ValueError("vector shorter than the lattice rank")
         return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
 
-    def direct_sum(self, other: "GramLattice", name: Optional[str] = None) -> "GramLattice":
-        return GramLattice(block_diagonal([self.gram, other.gram]), name=name)
-
-
-@dataclass(frozen=True)
-class EmbeddedSublattice:
-    """Vectors spanning a sublattice of the ambient coordinate lattice Z^rank.
-
-    The given vectors need not be linearly independent; operations work
-    with the lattice they generate.
-    """
-
-    ambient: GramLattice
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(map(tuple, copy_matrix(self.basis))))
-        for v in self.basis:
-            if len(v) != self.ambient.rank:
-                raise ValueError("basis vector length must equal the ambient rank")
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -579,28 +559,26 @@ def discriminant_group(L: GramLattice) -> AbelianInvariants:
     return AbelianInvariants(tuple(x for x in d if x > 1))
 
 
-def primitive_closure(S: EmbeddedSublattice) -> tuple[list[list[int]], AbelianInvariants]:
-    """Saturation of the sublattice spanned by S inside the ambient Z^rank.
+def primitive_closure(
+    ambient: GramLattice, basis: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], AbelianInvariants]:
+    """Saturation of the lattice spanned by the (possibly dependent) rows of
+    ``basis``, each with one int entry per ambient coordinate, inside Z^rank.
 
-    Returns (closure_basis, glue) where glue is the quotient closure/S;
-    a trivial glue group means S was already primitive.  Span basis row i
+    Returns (closure_basis, glue) where glue is the quotient closure/span;
+    a trivial glue group means the span was already primitive.  Span basis row i
     is d_i times a row of the unimodular Q^-1, so d_i is the gcd of its row.
     """
-    if S.ambient.det() == 0:
+    basis = copy_matrix(basis)
+    for i, v in enumerate(basis):
+        if len(v) != ambient.rank:
+            raise ValueError(f"basis[{i}] has {len(v)} entries, not the ambient rank {ambient.rank}")
+    if ambient.det() == 0:
         raise DegenerateLatticeError("degenerate lattice")
-    span = lattice_row_basis(S.basis)
+    span = lattice_row_basis(basis)
     d = [gcd(*row) for row in span]
     glue = AbelianInvariants(tuple(x for x in d if x > 1))
     return [[x // di for x in row] for di, row in zip(d, span)], glue
-
-
-def is_p_divisible_class(v: Sequence[int], L: GramLattice, p: int) -> Optional[list[int]]:
-    """Return w with p*w = v when every coordinate of v is divisible by p."""
-    if len(v) != L.rank:
-        raise ValueError("vector length must equal the lattice rank")
-    if any(x % p != 0 for x in v):
-        return None
-    return [x // p for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +651,7 @@ def catalog_lattice(name: str) -> GramLattice:
     if name in ("K3", "ENRIQUES_FREE"):
         e8 = _scaled(cartan_matrix("E", 8), -1)
         blocks = [_U_GRAM] * 3 + [e8] * 2 if name == "K3" else [_U_GRAM, e8]
-        return GramLattice(block_diagonal(blocks), name=name)
+        return GramLattice(block_diagonal(blocks))
 
     scale = None
     base = name
@@ -681,7 +659,7 @@ def catalog_lattice(name: str) -> GramLattice:
     if m:
         base, scale = m.group(1), int(m.group(2))
     if base == "U":
-        return GramLattice(tuple(map(tuple, _scaled(_U_GRAM, 1 if scale is None else scale))), name=name)
+        return GramLattice(tuple(map(tuple, _scaled(_U_GRAM, 1 if scale is None else scale))))
     m = _ADE_RE.match(base)
     if m:
         kind, n = m.group(1), int(m.group(2))
@@ -690,7 +668,7 @@ def catalog_lattice(name: str) -> GramLattice:
                 f"catalog lattice {name!r} has rank {n}, above {MAX_CATALOG_RANK}"
             )
         k = -1 if scale is None else scale
-        return GramLattice(tuple(map(tuple, _scaled(cartan_matrix(kind, n), k))), name=name)
+        return GramLattice(tuple(map(tuple, _scaled(cartan_matrix(kind, n), k))))
     raise ValueError(f"unknown catalog lattice {name!r}")
 
 
@@ -706,7 +684,7 @@ def parse_lattice(obj, path: str = "") -> GramLattice:
         if "gram" in obj:
             gram = typed(obj["gram"], [[int]], f"{field}gram")
             try:
-                lat = GramLattice(gram, name=name)
+                lat = GramLattice(gram)
             except ValueError as exc:  # a shape error, which GramLattice cannot name
                 raise ValueError(f"{field}gram: {exc}") from exc
             if name is not None:
@@ -734,10 +712,7 @@ def parse_lattice(obj, path: str = "") -> GramLattice:
                     )
             if not parts:
                 raise ValueError("'sum' needs at least one lattice")
-            return GramLattice(
-                block_diagonal([p.gram for p in parts]),
-                name=name if name is not None else " + ".join(str(s) for s in items),
-            )
+            return GramLattice(block_diagonal([p.gram for p in parts]))
         if name is not None:
             return catalog_lattice(name)
     raise ValueError(

@@ -99,16 +99,17 @@ class ChainConfiguration:
         not paired), B the block-diagonal matrix of the A_{p-1} blocks and
         x = (X^0, ..., X^{m-1}) with X = 2^s.  Row a of V (G (V^T x)) is
         sum_b P_ab X^b, where P = V G V^T holds the pairings; each satisfies
-        |P_ab| <= r^2 max|V|^2 max|G| = M - 2, and X > 2M.  So the balanced
-        base-X digits of the row are the P_ab themselves (adding X/2 to every
-        digit puts each one in [0, X), where a shift and a mask read it), and
-        the identity V (G (V^T x)) = B x holds exactly when P = B.  It takes
+        |P_ab| <= r^2 max|V|^2 max|G| = M - 2, and X > 2M.  So row a is the
+        base-X expansion whose coefficients, all below X/2 in size, are the
+        P_ab, and row a of B x the one whose coefficients are B's entries; such
+        an expansion is unique, so V (G (V^T x)) = B x holds exactly when
+        P = B, and ``got == want`` alone decides pass or fail.  It takes
         r + r + m inner products, each one C-level call, in place of m(m+1)/2
         pairings; G (V^T x) is taken against the rows of G, since the packed
         vector is dense, and max|G| is ``GramLattice.max_abs_entry``, scanned
         once per lattice.  When it fails, the pairs are scanned within each
-        chain (a <= b), then across chains, and the first failing one is
-        reported.
+        chain (a <= b), then across chains, each read with `GramLattice.dot` on
+        the cut rows, and the first failing one is reported.
         """
         r, q = self.ambient.rank, self.p - 1
         rows = [v[:r] for chain in self.chains for v in chain]
@@ -125,13 +126,7 @@ class ChainConfiguration:
                 want[a + 1] += powers[a]
         if got == want:
             return
-        half, mask = 1 << (s - 1), (1 << s) - 1
-        offset = half * sum(powers)  # X/2 added to every digit
-        digits = [g + offset for g in got]
-
-        def pair(a, b):
-            return (digits[a] >> (s * b) & mask) - half
-
+        pair = lambda a, b: self.ambient.dot(rows[a], rows[b])  # P_ab
         for ci in range(self.count):
             for a, b in itertools.combinations_with_replacement(range(q), 2):
                 want_ab = -2 if a == b else int(b == a + 1)

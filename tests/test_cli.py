@@ -469,6 +469,8 @@ def test_malformed_json_exit_2(capsys):
          "error: unknown catalog group 'Q9'"),
         (["classify", "k3", "--p", "2", "--c", "16", "--facts", "primitive"],
          "error: Table 1 rows [8] at p = 2, c = 16 considered, [] fit; facts = primitive"),
+        (["lattice", "closure", "--lattice", '"A2"', "--basis", "[[1,0],[1,0,0]]"],
+         "error: basis[1] has 3 entries, not the ambient rank 2"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv, named):
@@ -596,19 +598,24 @@ def test_each_operation_declares_the_flags_it_reads(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flags",
-    [(_invocation(command, op) + [flag, VALUES[flag]], [flag]) for command, op, flag in UNREAD]
+    "argv, prog, flags",
+    [(_invocation(command, op) + [flag, VALUES[flag]], f"k3lat {command} {op}", [flag])
+     for command, op, flag in UNREAD]
     + [(["groups", "build", "--group", "D8", "--presentation", '{"gens":["a"],"rels":["a2"]}'],
-        ["--group", "--presentation"])],
-    ids=[" ".join(key) for key in UNREAD] + ["groups build --group --presentation"],
+        "k3lat groups build", ["--group", "--presentation"]),
+       (["lemma13", "--p", "3"], "k3lat lemma13", ["--p 3"]),
+       (["table", "1", "--facts", "one_H"], "k3lat table", ["--facts one_H"])],
+    ids=[" ".join(key) for key in UNREAD]
+    + ["groups build --group --presentation", "lemma13 --p", "table --facts"],
 )
-def test_argparse_refuses_a_flag_by_name(capsys, argv, flags):
+def test_argparse_refuses_a_flag_by_name(capsys, argv, prog, flags):
     """A flag the operation does not read, or two that exclude each other, exit 2 through
-    argparse's usage line, and its error line names them."""
+    the operation's own usage line, and its error line names them."""
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
+    assert err.startswith(f"usage: {prog} "), err
     line = argparse_refusal(err)
-    assert all(flag in line for flag in flags), line
+    assert line.startswith(f"{prog}: error: ") and all(flag in line for flag in flags), line
 
 
 def test_data_dir_env_override(capsys, tmp_path, monkeypatch):

@@ -19,11 +19,8 @@ from k3lat.root_config import (
 
 
 def block_gram(blocks):
-    out = None
-    for b in blocks:
-        lat = parse_lattice(b) if isinstance(b, str) else GramLattice(tuple(map(tuple, b)))
-        out = lat if out is None else out.direct_sum(lat)
-    return out
+    """The orthogonal sum of the blocks, each a catalog name or a Gram matrix."""
+    return parse_lattice({"sum": [b if isinstance(b, str) else {"gram": b} for b in blocks]})
 
 
 @pytest.fixture(scope="module")

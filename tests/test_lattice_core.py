@@ -14,15 +14,14 @@ from k3lat.lattice_core import (
     AbelianInvariants,
     CatalogRankError,
     DegenerateLatticeError,
-    EmbeddedSublattice,
     GramLattice,
     _reduction,
     _smith,
     bareiss_det,
+    block_diagonal,
     catalog_lattice,
     checked_int,
     discriminant_group,
-    is_p_divisible_class,
     lattice_row_basis,
     left_kernel_mod_p,
     mat_mul,
@@ -447,7 +446,7 @@ def test_left_kernel_mod_2_bit_masks_match_the_list_elimination():
 def test_full_rank22_catalog_discriminants():
     k3 = catalog_lattice("K3")
     assert discriminant_group(k3).is_trivial
-    big = k3.direct_sum(catalog_lattice("A4"))
+    big = parse_lattice({"sum": ["K3", "A4"]})
     assert discriminant_group(big).factors == (5,)
 
 
@@ -618,7 +617,7 @@ def test_parse_lattice_forms():
     assert s.gram == catalog_lattice("ENRIQUES_FREE").gram
     assert parse_lattice({"name": "A2"}).gram == ((-2, 1), (1, -2))
     # a catalog name must agree with an explicitly supplied gram
-    assert parse_lattice({"name": "U", "gram": [[0, 1], [1, 0]]}).name == "U"
+    assert parse_lattice({"name": "U", "gram": [[0, 1], [1, 0]]}) == catalog_lattice("U")
     with pytest.raises(ValueError):
         parse_lattice({"name": "U", "gram": [[0, 2], [2, 0]]})
     parse_lattice({"name": "my lattice", "gram": [[4]]})  # free-form labels pass
@@ -627,10 +626,17 @@ def test_parse_lattice_forms():
     with pytest.raises(ValueError):
         parse_lattice("Q17")
     # a sum is bounded like one catalog name: rank 256 passes, 264 does not
-    assert parse_lattice({"sum": ["E8"] * 32}).gram == catalog_lattice("E8").direct_sum(
-        parse_lattice({"sum": ["E8"] * 31})).gram
+    assert parse_lattice({"sum": ["E8"] * 32}) == GramLattice(
+        block_diagonal([catalog_lattice("E8").gram] * 32))
     with pytest.raises(CatalogRankError):
         parse_lattice({"sum": [{"sum": ["E8"] * 16}, {"sum": ["E8"] * 17}]})
+
+
+def test_a_lattice_is_its_gram_form():
+    """Two lattices with one Gram matrix are equal, whatever they were built from."""
+    assert parse_lattice({"gram": [[0, 1], [1, 0]]}) == catalog_lattice("U")
+    assert parse_lattice({"sum": ["U", "E8"]}) == catalog_lattice("ENRIQUES_FREE")
+    assert parse_lattice({"name": "my lattice", "gram": [[-2]]}) == catalog_lattice("A1")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +648,7 @@ def test_discriminant_examples():
     for p in (2, 3, 5, 7):
         inv = discriminant_group(catalog_lattice(f"A{p - 1}"))
         assert inv.factors == (p,)
-    a2a2 = catalog_lattice("A2").direct_sum(catalog_lattice("A2"))
+    a2a2 = parse_lattice({"sum": ["A2", "A2"]})
     assert discriminant_group(a2a2).factors == (3, 3)
 
 
@@ -676,7 +682,7 @@ def test_discriminant_order_equals_det():
 
 def test_primitive_closure_index_two_line():
     amb = GramLattice(((1, 0), (0, 1)))
-    closure, glue = primitive_closure(EmbeddedSublattice(amb, ((2, 0),)))
+    closure, glue = primitive_closure(amb, ((2, 0),))
     assert glue.factors == (2,)
     assert [[abs(x) for x in v] for v in closure] == [[1, 0]]
 
@@ -684,8 +690,16 @@ def test_primitive_closure_index_two_line():
 def test_primitive_closure_full_basis_trivial():
     amb = catalog_lattice("A4")
     basis = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    _, glue = primitive_closure(EmbeddedSublattice(amb, basis))
+    _, glue = primitive_closure(amb, basis)
     assert glue.is_trivial
+
+
+def test_primitive_closure_checks_lengths_before_the_determinant():
+    """The length of every vector is checked before the ambient's determinant."""
+    with pytest.raises(ValueError, match=r"^basis\[0\] has 1 entries, not the ambient rank 2$"):
+        primitive_closure(GramLattice(((0, 0), (0, 0))), [[1]])
+    with pytest.raises(DegenerateLatticeError):
+        primitive_closure(GramLattice(((0, 0), (0, 0))), [[1, 0]])
 
 
 def test_primitive_closure_idempotent_and_index_bound():
@@ -695,8 +709,8 @@ def test_primitive_closure_idempotent_and_index_bound():
         k = rng.randint(1, n)
         amb = GramLattice(tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n)))
         basis = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k))
-        closure, glue = primitive_closure(EmbeddedSublattice(amb, basis))
-        closure2, glue2 = primitive_closure(EmbeddedSublattice(amb, tuple(map(tuple, closure))))
+        closure, glue = primitive_closure(amb, basis)
+        closure2, glue2 = primitive_closure(amb, closure)
         assert glue2.is_trivial
         assert len(closure2) == len(closure)
         # |glue|^2 divides |det Gram(S)| when the vectors are independent
@@ -736,7 +750,7 @@ def test_span_readers_are_pinned():
     pin = pins["kummer_chain_closure"]
     span = [list(v) for chain in cfg.chains for v in chain]
     assert span == pin["basis"]
-    closure, glue = primitive_closure(EmbeddedSublattice(lattice, tuple(map(tuple, span))))
+    closure, glue = primitive_closure(lattice, span)
     assert (closure, list(glue.factors)) == (pin["closure"], pin["glue"])
     spec = elliptic.parse_fibration(json.loads((data_dir() / "double_iv_star.json").read_text()))
     gram = [list(row) for row in elliptic.formal_gram(spec)[1]]
@@ -754,11 +768,11 @@ def test_span_readers_are_pinned():
     (lambda: bareiss_det([[1, 0, 0], [0, 1, 0.25], [0, 0, 1]]), r"row 1, column 2: 0\.25"),
     (lambda: smith_normal_form([[1], [float("nan")]]), "row 1, column 0: nan"),
     (lambda: span_coordinates([[1, float("inf")]]), "row 0, column 1: inf"),
-    (lambda: EmbeddedSublattice(catalog_lattice("A2"), ((1, Fraction(1, 3)),)),
+    (lambda: primitive_closure(catalog_lattice("A2"), ((1, Fraction(1, 3)),)),
      r"row 0, column 1: Fraction\(1, 3\)"),
     (lambda: parse_lattice({"gram": [[-2, 0.5], [0.5, -2]]}), r"gram\[0\]\[1\] must be"),
 ], ids=["solve_left", "bareiss_det", "lattice_row_basis", "GramLattice", "bareiss_det_row1",
-        "smith_nan", "span_inf", "EmbeddedSublattice", "parse_lattice"])
+        "smith_nan", "span_inf", "primitive_closure", "parse_lattice"])
 def test_non_integral_entry_is_refused_not_truncated(call, message):
     """int() would truncate the entry; the ValueError names its row and column, or
     its path in a JSON lattice."""
@@ -807,18 +821,6 @@ def test_integral_floats_and_fractions_pass_as_ints():
     assert all(type(v) is int for row in lat.gram for v in row)
     basis, coords, combos = span_coordinates([[2.0, 0], [0, Fraction(3)]])
     assert all(type(v) is int for m in (basis, coords, combos) for row in m for v in row)
-
-
-# ---------------------------------------------------------------------------
-# p-divisibility of coordinate classes
-
-
-def test_is_p_divisible_class():
-    L = GramLattice(((2, 0), (0, 2)))
-    assert is_p_divisible_class((2, 4), L, 2) == [1, 2]
-    assert is_p_divisible_class((1, 2), L, 2) is None
-    with pytest.raises(ValueError):
-        is_p_divisible_class((1, 2, 3), L, 2)
 
 
 def test_abelian_invariants_validation():

@@ -16,7 +16,6 @@ from k3lat.finite_geometry import (
     line_complements,
 )
 from k3lat.lattice_core import (
-    EmbeddedSublattice,
     GramLattice,
     block_diagonal,
     catalog_lattice,
@@ -27,6 +26,7 @@ from k3lat.lattice_core import (
     primitive_closure,
 )
 from k3lat import root_config
+from k3lat.acceptance import random_self_orthogonal_code
 from k3lat.data import load_json
 from k3lat.pipeline import k3_row
 from k3lat.root_config import (
@@ -181,13 +181,10 @@ def test_kummer_hyperplane_span_has_glue_two():
     lattice, cfg = kummer_lattice()
     hyp = affine_hyperplanes(affine_space(2, 4))[0]
     basis = tuple(cfg.chains[i][0] for i in hyp.members)
-    _, glue = primitive_closure(EmbeddedSublattice(lattice, basis))
+    _, glue = primitive_closure(lattice, basis)
     assert glue.factors == (2,)
     # the hyperplane sum itself is coordinatewise 2-divisible in the overlattice
-    from k3lat.lattice_core import is_p_divisible_class
-
-    total = [sum(v[i] for v in basis) for i in range(lattice.rank)]
-    assert is_p_divisible_class(total, lattice, 2) is not None
+    assert all(sum(v[i] for v in basis) % 2 == 0 for i in range(lattice.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -254,37 +251,6 @@ def test_restrict_equals_the_constructor():
 # glue group vs witness list, on random glue-code models
 
 
-def random_self_orthogonal_code(rng, p, c):
-    basis = []
-    for _ in range(12):
-        w = [rng.randrange(p) for _ in range(c)]
-        if all(x == 0 for x in w):
-            continue
-        if p == 2:
-            if sum(w) % 4 != 0:
-                continue
-            if any(sum(a & b for a, b in zip(w, v)) % 2 for v in basis):
-                continue
-        else:
-            if sum(x * x for x in w) % p != 0:
-                continue
-            if any(sum(a * b for a, b in zip(w, v)) % p for v in basis):
-                continue
-        from k3lat.lattice_core import left_kernel_mod_p
-
-        cand = basis + [w]
-        # keep only independent generators
-        if len(left_kernel_mod_p(cand, p)) > 0:
-            continue
-        basis = cand
-    return basis
-
-
-def build_code_model(p, c, code_basis):
-    """Overlattice of c orthogonal A_{p-1} chains glued along the given code."""
-    return glue_overlattice(p, c, code_basis)[1]
-
-
 def test_glue_trivial_iff_no_witness_random_models():
     rng = random.Random(99)
     ran = 0
@@ -293,11 +259,11 @@ def test_glue_trivial_iff_no_witness_random_models():
         cmax = 8 // (p - 1)
         c = rng.randint(1, cmax)
         code = random_self_orthogonal_code(rng, p, c) if rng.random() < 0.7 else []
-        cfg = build_code_model(p, c, code)
+        cfg = glue_overlattice(p, c, code)[1]
         glue = chain_span_glue(cfg)
         # the shortcut glue computation agrees with the saturation operation
         span = tuple(v for chain in cfg.chains for v in chain)
-        _, glue_via_closure = primitive_closure(EmbeddedSublattice(cfg.ambient, span))
+        _, glue_via_closure = primitive_closure(cfg.ambient, span)
         assert glue.factors == glue_via_closure.factors
         witnesses = find_p_divisible_subsets(cfg)
         assert glue.is_trivial == (witnesses == [])
